@@ -36,7 +36,6 @@ from .genfunc import (
     C_gf_stirling,
     CFiniteRecurrence,
     binomial_transform_gf,
-    gf_series,
     omega_poly,
     power_sum_gf,
     reconstruct_rational,
@@ -104,7 +103,6 @@ __all__ = [
     "eulerian",
     "factorial",
     "fetch_bfile",
-    "gf_series",
     "hyp_terminating",
     "multinomial",
     "normalize_scalar",

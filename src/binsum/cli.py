@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .sequences import (
     b_hypergeom,
     c_direct,
 )
-from .verify import Bounds, run_suite
+from .verify import SUITE_NAMES, Bounds, compare_pinned, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -127,17 +128,13 @@ def build_parser() -> _Parser:
     recur.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run verification suites")
-    verify.add_argument(
-        "--suite",
-        choices=("all", "formulas", "tables", "identities", "appendix", "oeis"),
-        default="all",
-    )
+    verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--offline", action="store_true")
     verify.add_argument("--timing", action="store_true")
-    verify.add_argument("--k-max", type=_nonnegative)
-    verify.add_argument("--q-max", type=_nonnegative)
-    verify.add_argument("--m-max", type=_nonnegative)
-    verify.add_argument("--j-max", type=_nonnegative)
+    for field in dataclasses.fields(Bounds):  # --k-max, --q-max, --m-max, --j-max
+        verify.add_argument(
+            "--" + field.name.replace("_", "-"), type=_nonnegative, default=field.default
+        )
 
     oeis = sub.add_parser("oeis", help="fetch or compare an OEIS b-file")
     oeis.add_argument("--id", required=True)
@@ -200,36 +197,29 @@ def _seq_values(args) -> list:
     family = args.family
     if family in ("a", "b"):
         _require(args.k is not None and args.q is not None, f"family {family} requires --k and --q")
-        k, q = args.k, args.q
+        k_or_J, q = args.k, args.q
         if q.denominator == 1:
             q = int(q)
     else:
         _require(args.J is not None and args.q is not None, "family c requires --J and --q")
         _require(args.q.denominator == 1, "family c requires integer q")
-        J, q = args.J, int(args.q)
+        k_or_J, q = args.J, int(args.q)
 
-    n = args.n_max
-    if family == "a":
-        if args.via == "single":
-            return [a_single_sum(k, q, m) for m in range(n)]
-        if args.via == "series":
-            if not isinstance(q, int):
-                raise UnsupportedParameterError(
-                    "the terminating-series route requires integer q"
-                )
-            return [a_hypergeom(k, q, m) for m in range(n)]
-        return [a_double_sum(k, q, m) for m in range(n)]
-    if family == "b":
-        if args.via == "series":
-            if not isinstance(q, int):
-                raise UnsupportedParameterError(
-                    "the terminating-series route requires integer q"
-                )
-            return [b_hypergeom(k, q, j) for j in range(n)]
-        _require(args.via == "direct", "family b supports --via direct or series")
-        return [b_direct(k, q, j) for j in range(n)]
-    _require(args.via == "direct", "family c supports only --via direct")
-    return [c_direct(J, q, i) for i in range(n)]
+    # built per call, so the evaluators are the ones the module holds now
+    routes = {
+        ("a", "direct"): a_double_sum,
+        ("a", "single"): a_single_sum,
+        ("a", "series"): a_hypergeom,
+        ("b", "direct"): b_direct,
+        ("b", "series"): b_hypergeom,
+        ("c", "direct"): c_direct,
+    }
+    if (family, args.via) not in routes:
+        vias = [via for f, via in routes if f == family]
+        only = "only " if len(vias) == 1 else ""
+        raise _UsageError(f"family {family} supports {only}--via {' or '.join(vias)}")
+    evaluate = routes[family, args.via]
+    return [evaluate(k_or_J, q, n) for n in range(args.n_max)]
 
 
 def _cmd_seq(args) -> int:
@@ -273,7 +263,8 @@ def _build_gf(args) -> tuple[RationalGF, str]:
             series = [a_single_sum(k, q, m) for m in range(count)]
         return reconstruct_rational(series, num_degree, den_degree), "z"
 
-    _require(q.denominator == 1, f"family {family} requires integer q (or --reconstruct)")
+    hint = " (or --reconstruct)" if args.command == "gf" else ""
+    _require(q.denominator == 1, f"family {family} requires integer q{hint}")
     q = int(q)
     return (B_gf(k, q) if family == "B" else A_gf(k, q)), "z"
 
@@ -303,13 +294,7 @@ def _cmd_recur(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    defaults = Bounds()
-    bounds = Bounds(
-        k_max=args.k_max if args.k_max is not None else defaults.k_max,
-        q_max=args.q_max if args.q_max is not None else defaults.q_max,
-        m_max=args.m_max if args.m_max is not None else defaults.m_max,
-        j_max=args.j_max if args.j_max is not None else defaults.j_max,
-    )
+    bounds = Bounds(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Bounds)})
     report = run_suite(
         args.suite, bounds, offline=args.offline, timing=args.timing
     )
@@ -322,9 +307,7 @@ def _cmd_oeis(args) -> int:
     if args.compare:
         mapping = oeis_mod.mapping_for(args.id)
         _require(mapping is not None, f"no known mapping for {args.id}")
-        k, q = mapping.params
-        computed = [int(a_single_sum(k, q, m)) for m in range(41)]
-        result = oeis_mod.compare_with_oeis(mapping, computed, offline=args.offline)
+        result = compare_pinned(mapping, offline=args.offline)
         print(result.describe())
         return EXIT_PASS if result.matched else EXIT_FAIL
     pairs = oeis_mod.fetch_bfile(args.id, args.max_terms, offline=args.offline)

@@ -33,11 +33,6 @@ from .polynomials import Polynomial, RationalGF, substitute_cleared
 from .sequences import _require_integer_q
 
 
-def gf_series(f: RationalGF, n: int) -> list[Fraction]:
-    """First n Taylor coefficients of f at 0."""
-    return f.series(n)
-
-
 def B_gf(k: int, q: int) -> RationalGF:
     """Generating function of b(k, q; j) for integer k, q >= 0.
 

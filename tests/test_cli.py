@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +113,18 @@ class TestSeq:
         code, _, err = run(capsys, "seq", "--family", "c", "--J", "2", "--q", "1/2")
         assert code == 2
 
+    def test_unsupported_route(self, capsys):
+        code, _, err = run(
+            capsys, "seq", "--family", "b", "--k", "1", "--q", "2", "--via", "single"
+        )
+        assert code == 2
+        assert err == "binsum: error: family b supports --via direct or series\n"
+        code, _, err = run(
+            capsys, "seq", "--family", "c", "--J", "1", "--q", "2", "--via", "series"
+        )
+        assert code == 2
+        assert err == "binsum: error: family c supports only --via direct\n"
+
 
 class TestGf:
     def test_b_family(self, capsys):
@@ -154,7 +167,7 @@ class TestGf:
     def test_integer_q_required_without_reconstruct(self, capsys):
         code, _, err = run(capsys, "gf", "--family", "B", "--k", "1", "--q", "1/2")
         assert code == 2
-        assert "reconstruct" in err
+        assert err == "binsum: error: family B requires integer q (or --reconstruct)\n"
 
 
 class TestRecur:
@@ -172,6 +185,13 @@ class TestRecur:
         code, out, _ = run(capsys, "recur", "--family", "B", "--k", "1", "--q", "1")
         assert code == 0
         assert out.startswith("order 2:")
+
+    def test_integer_q_required(self, capsys):
+        # recur has no --reconstruct, so the error must not suggest it
+        code, out, err = run(capsys, "recur", "--family", "B", "--k", "1", "--q", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err == "binsum: error: family B requires integer q\n"
 
     def test_json(self, capsys):
         code, out, _ = run(
@@ -242,6 +262,16 @@ class TestOeis:
         code, _, err = run(capsys, "oeis", "--id", "A000001", "--offline")
         assert code == 3
         assert err.startswith("binsum: error:")
+
+    def test_compare_non_integral_term(self, capsys, monkeypatch, tmp_path):
+        import binsum.verify as verify_mod
+
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(verify_mod, "a_single_sum", lambda k, q, m: Fraction(1, 2))
+        code, out, err = run(capsys, "oeis", "--id", "A361610", "--offline", "--compare")
+        assert code == 2
+        assert out == ""
+        assert err == "binsum: error: expected an integer value, got 1/2\n"
 
     def test_compare_without_mapping(self, capsys):
         code, _, err = run(capsys, "oeis", "--id", "A000045", "--offline", "--compare")

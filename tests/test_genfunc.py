@@ -17,7 +17,6 @@ from binsum.genfunc import (
     C2_closed_form,
     C_gf_stirling,
     binomial_transform_gf,
-    gf_series,
     omega_poly,
     power_sum_gf,
     reconstruct_rational,
@@ -30,10 +29,10 @@ from binsum.sequences import a_double_sum, b_direct, c_direct
 
 
 def test_gf_series_examples():
-    assert gf_series(RationalGF([1], [1, 2]), 4) == [1, -2, 4, -8]
+    assert RationalGF([1], [1, 2]).series(4) == [1, -2, 4, -8]
     row_12 = RationalGF([1, -1], Polynomial([1, 2]) ** 2)
-    assert gf_series(row_12, 5) == [1, -5, 16, -44, 112]
-    assert gf_series(RationalGF([1], [1, -1]), 3) == [1, 1, 1]
+    assert row_12.series(5) == [1, -5, 16, -44, 112]
+    assert RationalGF([1], [1, -1]).series(3) == [1, 1, 1]
 
 
 class TestBgf:
@@ -48,7 +47,7 @@ class TestBgf:
     def test_series_matches_direct_sums(self):
         for k in range(6):
             for q in range(6):
-                series = gf_series(B_gf(k, q), 30)
+                series = B_gf(k, q).series(30)
                 assert series == [b_direct(k, q, j) for j in range(30)], (k, q)
 
     def test_rational_q_rejected(self):
@@ -98,7 +97,7 @@ class TestAgf:
     def test_series_matches_double_sum(self):
         for k in range(6):
             for q in range(6):
-                series = gf_series(A_gf(k, q), 30)
+                series = A_gf(k, q).series(30)
                 assert series == [a_double_sum(k, q, m) for m in range(30)], (k, q)
 
 
@@ -124,7 +123,7 @@ class TestPowerSum:
 
     def test_series_enumerates_powers(self):
         for n in range(1, 9):
-            series = gf_series(power_sum_gf(n), 12)
+            series = power_sum_gf(n).series(12)
             assert series == [j**n for j in range(12)]
 
 
@@ -145,7 +144,7 @@ class TestCgf:
     def test_series_matches_direct(self):
         for J in range(7):
             for q in range(6):
-                series = gf_series(C_gf_stirling(J, q), 30)
+                series = C_gf_stirling(J, q).series(30)
                 assert series == [c_direct(J, q, i) for i in range(30)], (J, q)
 
 
@@ -179,12 +178,12 @@ class TestReconstruct:
 
     def test_overdetermined_still_verified(self):
         f = RationalGF([1, -1], Polynomial([1, 2]) ** 2)
-        assert reconstruct_rational(gf_series(f, 20), 1, 2) == f
+        assert reconstruct_rational(f.series(20), 1, 2) == f
 
     def test_degree_slack_is_fine(self):
         # requesting more degrees than needed leaves free variables at zero
         f = RationalGF([1], Polynomial([1, -3]) ** 2)
-        assert reconstruct_rational(gf_series(f, 9), 1, 2) == f
+        assert reconstruct_rational(f.series(9), 1, 2) == f
 
     def test_needs_more_terms(self):
         with pytest.raises(NeedsMoreTermsError):
@@ -199,7 +198,7 @@ class TestReconstruct:
             f = build(x, y)
             dn = max(f.numerator.degree, 0)
             dd = max(f.denominator.degree, 0)
-            assert reconstruct_rational(gf_series(f, dn + dd + 2), dn, dd) == f
+            assert reconstruct_rational(f.series(dn + dd + 2), dn, dd) == f
 
 
 class TestRecurrence:
@@ -235,7 +234,7 @@ class TestRecurrence:
         rec = recurrence_from_gf(f)
         assert rec.order == 1
         assert rec.offset == 3
-        assert rec.terms(8) == gf_series(f, 8)
+        assert rec.terms(8) == f.series(8)
 
     def test_regenerates_table_sequences(self):
         rec = recurrence_from_gf(A_gf(2, 3))
