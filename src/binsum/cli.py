@@ -5,8 +5,8 @@ recur (linear recurrences), verify (the verification suites), oeis
 (b-file fetch and comparison).  All arithmetic is exact; every format is
 deterministic so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 transport or fixture error.
+Exit codes: 0 success, 1 verification failure, 2 usage or arithmetic
+error, 3 transport or fixture error.
 """
 
 from __future__ import annotations
@@ -341,6 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         NoRationalFitError,
         NeedsMoreTermsError,
         ValueError,
+        ArithmeticError,  # SeriesPoleError, ZeroDivisionError, ...
     ) as exc:
         print(f"binsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

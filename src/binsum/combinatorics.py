@@ -33,17 +33,22 @@ def binomial(top: Scalar, bottom: int) -> Scalar:
     """Generalized binomial coefficient top over bottom.
 
     Defined through the falling factorial: top(top-1)...(top-bottom+1)/bottom!.
-    Total over rational and negative tops; bottom < 0 gives 0.
+    Total over rational and negative tops; bottom < 0 gives 0.  Integer tops
+    go to math.comb, negative ones through the reflection
+    C(-n, k) = (-1)^k C(n+k-1, k); rational tops multiply out the falling
+    factorial over Fractions.
     """
     if bottom < 0:
         return 0
-    top = normalize_scalar(top)
+    # plain ints skip normalize_scalar, whose isinstance(x, Fraction) is an
+    # ABC check and costs more than math.comb on small tops
+    if type(top) is not int:
+        top = normalize_scalar(top)
     if isinstance(top, int):
-        result = 1
-        for i in range(bottom):
-            # exact at every step: the prefix product is itself a binomial
-            result = result * (top - i) // (i + 1)
-        return result
+        if top >= 0:
+            return math.comb(top, bottom)
+        reflected = math.comb(bottom - top - 1, bottom)
+        return -reflected if bottom & 1 else reflected
     product = Fraction(1)
     for i in range(bottom):
         product *= top - i

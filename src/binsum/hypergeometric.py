@@ -4,6 +4,15 @@ A series pFq(a_1..a_p; b_1..b_q | z) terminates when some numerator parameter
 is a nonpositive integer.  The sum here runs through the largest order any
 such parameter imposes, so later parameters cannot silently truncate earlier
 nonzero terms.
+
+Terms are carried by their ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3):
+
+  t_i / t_(i-1) = z * prod(a + i - 1) / (i * prod(b + i - 1))
+
+With every parameter written p/d, each factor a + i - 1 is the integer
+p + (i-1)*d over d, so the loop runs on integers only: the d's and z fold
+into one integer scale on each side, and the partial sums share one integer
+denominator until a single Fraction is built at the end.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import Scalar, factorial, normalize_scalar, pochhammer
+from .combinatorics import Scalar, normalize_scalar
 from .errors import NonTerminatingSeriesError, SeriesPoleError
 
 
@@ -40,23 +49,44 @@ def hyp_terminating(
     By default a term whose denominator Pochhammer product vanishes
     contributes zero (the 1/infinity convention for a pole sitting under a
     finite numerator).  With strict=True such a term raises SeriesPoleError
-    instead, naming the term index.
+    instead, naming the term index.  The denominator is looked at first, so a
+    term whose numerator vanishes too still counts as a pole.
+
+    A nonpositive integer denominator parameter b makes (b)_i vanish for every
+    i >= 1 - b, so the first such index ends the sum (or is the one raised);
+    a vanishing numerator factor makes every later term zero.
     """
     order = termination_order(numerator_params)
     nums = [Fraction(a) for a in numerator_params]
     dens = [Fraction(b) for b in denominator_params]
     z = Fraction(argument)
-    total = Fraction(0)
-    for i in range(order + 1):
-        den_product = Fraction(1)
-        for b in dens:
-            den_product *= pochhammer(b, i)
-        if den_product == 0:
-            if strict:
-                raise SeriesPoleError(i)
-            continue
-        num_product = Fraction(1)
-        for a in nums:
-            num_product *= pochhammer(a, i)
-        total += num_product * z**i / (den_product * factorial(i))
-    return normalize_scalar(total)
+    pole = order + 1
+    for b in dens:
+        if b.denominator == 1 and b.numerator <= 0:
+            pole = min(pole, 1 - b.numerator)
+    if strict and pole <= order:
+        raise SeriesPoleError(pole)
+
+    # factor i of a = p/d is (p + (i-1)*d)/d = ((p-d) + i*d)/d
+    num_steps = [(a.numerator - a.denominator, a.denominator) for a in nums]
+    den_steps = [(b.numerator - b.denominator, b.denominator) for b in dens]
+    num_scale, den_scale = z.numerator, z.denominator
+    for b in dens:
+        num_scale *= b.denominator
+    for a in nums:
+        den_scale *= a.denominator
+    # invariant: t_i = term / scale and the partial sum is total / scale
+    term = total = scale = 1
+    for i in range(1, min(order, pole - 1) + 1):
+        top = num_scale
+        for offset, step in num_steps:
+            top *= offset + i * step
+        if top == 0:
+            break
+        bottom = den_scale * i
+        for offset, step in den_steps:
+            bottom *= offset + i * step
+        term *= top
+        total = total * bottom + term
+        scale *= bottom
+    return normalize_scalar(Fraction(total, scale))

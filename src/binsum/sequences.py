@@ -128,7 +128,7 @@ def a_hypergeom(k: int, q: int, m: int, strict: bool = False) -> Scalar:
     """
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
-    q = _require_integer_q(q, "a_hypergeom")
+    q = _require_integer_q(q, "the terminating-series route")
     front = binomial(m * (q + 1) + k, k + m)
     numerator_params = [Fraction(-m)]
     numerator_params += [1 - Fraction(l + 1 - m, q + 1) - m for l in range(q + 1)]
@@ -146,9 +146,11 @@ def b_hypergeom(k: int, q: int, j: int, strict: bool = False) -> Scalar:
     """
     _check_nonnegative("k", k)
     _check_nonnegative("j", j)
-    q = _require_integer_q(q, "b_hypergeom")
+    q = _require_integer_q(q, "the terminating-series route")
     if q < 1:
-        raise UnsupportedParameterError("b_hypergeom requires q >= 1")
+        raise UnsupportedParameterError(
+            "the terminating-series route for family b requires q >= 1"
+        )
     numerator_params = [Fraction(-j)] + [Fraction(k + j + l, q) for l in range(1, q + 1)]
     denominator_params = [Fraction(l, q) for l in range(1, q + 1)]
     return normalize_scalar(

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from binsum import cli
 from binsum.cli import main
+from binsum.errors import SeriesPoleError
 from binsum.oeis import parse_bfile
 
 
@@ -92,12 +94,34 @@ class TestSeq:
         assert direct == single == series
 
     def test_series_route_needs_integer_q(self, capsys):
+        # the message names the route the user picked, not an internal function
+        for family, q, message in (
+            ("a", "1/2", "the terminating-series route requires integer q, got 1/2"),
+            ("b", "1/2", "the terminating-series route requires integer q, got 1/2"),
+            ("b", "0", "the terminating-series route for family b requires q >= 1"),
+        ):
+            code, out, err = run(
+                capsys, "seq", "--family", family, "--k", "1", "--q", q,
+                "--via", "series",
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"binsum: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "error", [SeriesPoleError(3), ZeroDivisionError("division by zero")]
+    )
+    def test_arithmetic_error_is_one_line(self, capsys, monkeypatch, error):
+        def failing(k, q, j):
+            raise error
+
+        monkeypatch.setattr(cli, "b_hypergeom", failing)
         code, out, err = run(
-            capsys, "seq", "--family", "a", "--k", "1", "--q", "1/2",
-            "--via", "series",
+            capsys, "seq", "--family", "b", "--k", "1", "--q", "2", "--via", "series"
         )
         assert code == 2
-        assert "integer q" in err
+        assert out == ""
+        assert err == f"binsum: error: {error}\n"
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "seq", "--family", "b", "--k", "1")

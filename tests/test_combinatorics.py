@@ -82,6 +82,19 @@ class TestBinomial:
                 expected = math.comb(n, k) if k <= n else 0
                 assert binomial(n, k) == expected
 
+    def test_integer_tops_match_falling_factorial(self):
+        # written out here so the check does not rest on math.comb, which
+        # binomial itself uses for integer tops
+        for top in range(-40, 41):
+            for bottom in range(-2, 46):
+                falling = 1
+                for i in range(bottom):
+                    falling *= top - i
+                expected = falling // math.factorial(bottom) if bottom >= 0 else 0
+                result = binomial(top, bottom)
+                assert type(result) is int, (top, bottom)
+                assert result == expected, (top, bottom)
+
     def test_integer_results_are_ints(self):
         assert isinstance(binomial(10, 4), int)
         assert isinstance(binomial(-3, 2), int)

@@ -1,12 +1,39 @@
 """Terminating hypergeometric series evaluation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from binsum.errors import NonTerminatingSeriesError, SeriesPoleError
 from binsum.hypergeometric import hyp_terminating, termination_order
-from binsum.combinatorics import pochhammer
+from binsum.combinatorics import factorial, pochhammer
+
+
+def hyp_by_pochhammer(nums, dens, z, strict):
+    """Reference sum: every term rebuilt from its Pochhammer products."""
+    total = Fraction(0)
+    for i in range(termination_order(nums) + 1):
+        den_product = Fraction(1)
+        for b in dens:
+            den_product *= pochhammer(Fraction(b), i)
+        if den_product == 0:
+            if strict:
+                raise SeriesPoleError(i)
+            continue
+        num_product = Fraction(1)
+        for a in nums:
+            num_product *= pochhammer(Fraction(a), i)
+        total += num_product * Fraction(z) ** i / (den_product * factorial(i))
+    return total
+
+
+def outcome(evaluate, *args):
+    """The value, or the exception type and pole index."""
+    try:
+        return "value", evaluate(*args)
+    except (SeriesPoleError, NonTerminatingSeriesError) as exc:
+        return type(exc), getattr(exc, "term_index", None)
 
 
 def test_termination_order_single():
@@ -81,3 +108,21 @@ def test_rational_argument():
     for n in range(6):
         for z in (Fraction(1, 3), Fraction(-2, 5), 2):
             assert hyp_terminating([-n], [], z) == (1 - Fraction(z)) ** n
+
+
+def test_matches_pochhammer_reference_on_random_grid():
+    rng = random.Random(20230417)
+
+    def parameter(nonpositive_share):
+        if rng.random() < nonpositive_share:
+            return rng.randint(-7, 0)
+        return Fraction(rng.randint(-15, 15), rng.randint(1, 6))
+
+    for _ in range(250):
+        nums = [parameter(0.5) for _ in range(rng.randint(1, 4))]
+        dens = [parameter(0.3) for _ in range(rng.randint(0, 3))]
+        for z in (1, -1, Fraction(1, 2), Fraction(-3, 5), 2):
+            for strict in (False, True):
+                expected = outcome(hyp_by_pochhammer, nums, dens, z, strict)
+                actual = outcome(hyp_terminating, nums, dens, z, strict)
+                assert actual == expected, (nums, dens, z, strict)
