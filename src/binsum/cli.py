@@ -246,6 +246,11 @@ def _cmd_seq(args) -> int:
 def _build_gf(args) -> tuple[RationalGF, str]:
     """Return the requested function and its display variable."""
     family = args.family
+    degrees = (getattr(args, "num_degree", None), getattr(args, "den_degree", None))
+    _require(
+        getattr(args, "reconstruct", False) or degrees == (None, None),
+        "--num-degree and --den-degree require --reconstruct",
+    )
     if family == "C":
         _require(args.J is not None and args.q is not None, "family C requires --J and --q")
         _require(args.q.denominator == 1, "family C requires integer q")

@@ -42,13 +42,17 @@ def B_gf(k: int, q: int) -> RationalGF:
                * sum_{i=0..j} (-1)^i C(j,i) C(j+k-1+q*i, q*i-1).
 
     The innermost binomial uses the total definition, so the i=0 term
-    (bottom -1) is zero.  The canonical denominator always divides
+    (bottom -1) is zero.  All the steps share the denominator (1+qz)^(k+1),
+    so the numerator is accumulated over it by Horner in (1+qz),
+    N <- N*(1+qz) + T_step starting from N = 1, and the sum is put in
+    canonical form once.  The canonical denominator always divides
     (1+qz)^(k+1).
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     q = _require_integer_q(q, "B_gf")
-    result = RationalGF(1, [1, q])
+    base = Polynomial([1, q])
+    numerator = Polynomial([1])
     for step in range(1, k + 1):
         correction = []
         for s in range(step + 1):
@@ -60,8 +64,8 @@ def B_gf(k: int, q: int) -> RationalGF:
                 )
                 coefficient += binomial(step + 1, s - j) * q ** (s - j) * inner
             correction.append(coefficient)
-        result = result + RationalGF(correction, Polynomial([1, q]) ** (step + 1))
-    return result
+        numerator = numerator * base + Polynomial(correction)
+    return RationalGF(numerator, base ** (k + 1))
 
 
 def binomial_transform_gf(f: RationalGF) -> RationalGF:
@@ -126,8 +130,11 @@ def C_gf_stirling(J: int, q: int) -> RationalGF:
     C(J, q; z) = (1/J!) sum_{t=0..J} [1/(1-z)] omega_t(z/(1-z)) q^t
                  * (-1)^(J+t) s(J+1, t+1)
 
-    with s the signed Stirling numbers of the first kind.  The denominator
-    divides (1-z)^(J+1).
+    with s the signed Stirling numbers of the first kind.  Term t is
+    P_t(z)/(1-z)^(t+1) with P_t from _omega_transformed, so over the common
+    denominator J! (1-z)^(J+1) the numerator sum_t w_t P_t (1-z)^(J-t) is
+    accumulated by Horner in (1-z): num <- num*(1-z) + w_t*P_t for
+    t = 0..J.  The denominator divides (1-z)^(J+1).
     """
     if J < 0 or q < 0:
         raise ValueError("J and q must be nonnegative")
@@ -136,7 +143,7 @@ def C_gf_stirling(J: int, q: int) -> RationalGF:
     for t in range(J + 1):
         omega_num, _ = _omega_transformed(t)
         weight = q**t * (-1) ** (J + t) * stirling1_signed(J + 1, t + 1)
-        numerator = numerator + weight * omega_num * one_minus ** (J - t)
+        numerator = numerator * one_minus + weight * omega_num
     return RationalGF(numerator, factorial(J) * one_minus ** (J + 1))
 
 

@@ -116,12 +116,19 @@ def fetch_bfile(
     Offline mode reads the cache, then the bundled fixture; a miss on both
     raises FixtureMissingError.  Online mode fetches from oeis.org and
     writes the cache atomically; network failure raises TransportError.
+    A cache file that does not parse raises BFileParseError naming the file.
     """
     validate_oeis_id(oeis_id)
     path = cache_path(oeis_id, cache_dir)
 
     if path.is_file():
-        terms = parse_bfile(path.read_text())
+        try:
+            terms = parse_bfile(path.read_text())
+        except BFileParseError as exc:
+            raise BFileParseError(
+                f"corrupt cache file {path}: {exc}; delete it to re-fetch",
+                line_number=exc.line_number,
+            ) from exc
     elif offline:
         terms = parse_bfile(_fixture_text(oeis_id))
     else:

@@ -200,13 +200,23 @@ def substitute_cleared(
 
     total_degree must be at least deg(p); the extra factors of inner_den keep
     numerator/denominator substitutions of a rational function consistent.
+
+    Evaluated by homogeneous Horner from the top coefficient down: with
+    d = deg(p), r <- r*inner_num + c_i*inner_den^(d-i), each power of
+    inner_den built from the previous one, and the remaining
+    inner_den^(total_degree-d) applied as one final product.
     """
     if total_degree < p.degree:
         raise ValueError("total_degree below the polynomial degree")
-    result = Polynomial()
-    for i, c in enumerate(p.coefficients):
-        result = result + c * inner_num**i * inner_den ** (total_degree - i)
-    return result
+    if p.is_zero():
+        return p
+    *lower, top = p.coefficients
+    result = Polynomial([top])
+    den_power = Polynomial([1])
+    for c in reversed(lower):
+        den_power = den_power * inner_den
+        result = result * inner_num + c * den_power
+    return result * inner_den ** (total_degree - p.degree)
 
 
 class RationalGF:

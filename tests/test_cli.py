@@ -193,6 +193,24 @@ class TestGf:
         assert code == 2
         assert err == "binsum: error: family B requires integer q (or --reconstruct)\n"
 
+    def test_degree_flags_require_reconstruct(self, capsys):
+        base = ("gf", "--family", "A", "--k", "2", "--q", "2")
+        for flags in (
+            ("--num-degree", "1", "--den-degree", "0"),
+            ("--num-degree", "1"),
+            ("--den-degree", "0"),
+        ):
+            code, out, err = run(capsys, *base, *flags)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "binsum: error: --num-degree and --den-degree require --reconstruct\n"
+            )
+        code, out, _ = run(capsys, *base, "--num-degree", "2", "--den-degree", "3",
+                           "--reconstruct")
+        assert code == 0
+        assert out == "(1 + z - 3*z^2)/(1 - 3*z)^3\n"
+
 
 class TestRecur:
     def test_a_family(self, capsys):
@@ -286,6 +304,17 @@ class TestOeis:
         code, _, err = run(capsys, "oeis", "--id", "A000001", "--offline")
         assert code == 3
         assert err.startswith("binsum: error:")
+
+    def test_corrupt_cache_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+        (tmp_path / "b027471.txt").write_text("garbage line\n")
+        code, out, err = run(capsys, "oeis", "--id", "A027471", "--offline")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"binsum: error: corrupt cache file {tmp_path / 'b027471.txt'}: line 1: "
+            "non-integer field in 'garbage line'; delete it to re-fetch\n"
+        )
 
     def test_compare_non_integral_term(self, capsys, monkeypatch, tmp_path):
         import binsum.verify as verify_mod

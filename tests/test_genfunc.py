@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from binsum.combinatorics import eulerian
+from binsum.combinatorics import binomial, eulerian, factorial, stirling1_signed
 from binsum.errors import (
     NeedsMoreTermsError,
     NoRationalFitError,
@@ -26,6 +26,39 @@ from binsum.genfunc import (
 )
 from binsum.polynomials import Polynomial, RationalGF
 from binsum.sequences import a_double_sum, b_direct, c_direct
+
+
+def _B_gf_by_steps(k, q):
+    """Reference: 1/(1+qz) plus each T_step/(1+qz)^(step+1), added as
+    RationalGFs one step at a time."""
+    result = RationalGF(1, [1, q])
+    for step in range(1, k + 1):
+        correction = []
+        for s in range(step + 1):
+            coefficient = 0
+            for j in range(s + 1):
+                inner = sum(
+                    (-1) ** i * binomial(j, i) * binomial(j + step - 1 + q * i, q * i - 1)
+                    for i in range(j + 1)
+                )
+                coefficient += binomial(step + 1, s - j) * q ** (s - j) * inner
+            correction.append(coefficient)
+        result = result + RationalGF(correction, Polynomial([1, q]) ** (step + 1))
+    return result
+
+
+def _C_gf_per_t(J, q):
+    """Reference: sum_t w_t P_t (1-z)^(J-t) with each power of (1-z) built on
+    its own, P_t = sum_i omega_t[i] z^i (1-z)^(t-i) term by term."""
+    one_minus = Polynomial([1, -1])
+    numerator = Polynomial()
+    for t in range(J + 1):
+        omega_num = Polynomial()
+        for i, c in enumerate(omega_poly(t).coefficients):
+            omega_num = omega_num + c * Polynomial.monomial(1, i) * one_minus ** (t - i)
+        weight = q**t * (-1) ** (J + t) * stirling1_signed(J + 1, t + 1)
+        numerator = numerator + weight * omega_num * one_minus ** (J - t)
+    return RationalGF(numerator, factorial(J) * one_minus ** (J + 1))
 
 
 def test_gf_series_examples():
@@ -53,6 +86,11 @@ class TestBgf:
     def test_rational_q_rejected(self):
         with pytest.raises(UnsupportedParameterError):
             B_gf(1, Fraction(1, 2))
+
+    def test_matches_step_by_step_reference(self):
+        for k in range(11):
+            for q in range(6):
+                assert B_gf(k, q) == _B_gf_by_steps(k, q), (k, q)
 
 
 class TestBinomialTransform:
@@ -146,6 +184,11 @@ class TestCgf:
             for q in range(6):
                 series = C_gf_stirling(J, q).series(30)
                 assert series == [c_direct(J, q, i) for i in range(30)], (J, q)
+
+    def test_matches_per_t_reference(self):
+        for J in range(11):
+            for q in range(6):
+                assert C_gf_stirling(J, q) == _C_gf_per_t(J, q), (J, q)
 
 
 class TestC2:

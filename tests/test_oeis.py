@@ -95,6 +95,22 @@ class TestFetch:
         pairs = fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
         assert pairs == [(0, 42)]
 
+    def test_corrupt_cache_names_the_file(self, tmp_path):
+        path = tmp_path / "b027471.txt"
+        path.write_text("garbage line\n")
+        with pytest.raises(BFileParseError) as info:
+            fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+        assert str(info.value) == (
+            f"corrupt cache file {path}: line 1: non-integer field in "
+            "'garbage line'; delete it to re-fetch"
+        )
+        assert info.value.line_number == 1
+        path.unlink()
+        assert fetch_bfile("A027471", 2, offline=True, cache_dir=str(tmp_path)) == [
+            (1, 0),
+            (2, 1),
+        ]
+
     def test_malformed_id(self):
         with pytest.raises(ValueError):
             fetch_bfile("X123")

@@ -1,11 +1,12 @@
 """Dense exact polynomials and canonical rational functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from binsum.errors import NotAPowerSeriesError
-from binsum.polynomials import Polynomial, RationalGF, poly_gcd
+from binsum.polynomials import Polynomial, RationalGF, poly_gcd, substitute_cleared
 
 
 class TestPolynomial:
@@ -79,6 +80,47 @@ def test_poly_gcd():
     _, r1 = divmod(a, g)
     _, r2 = divmod(b, g)
     assert not r1 and not r2
+
+
+def _substitute_cleared_per_term(p, inner_num, inner_den, total_degree):
+    """Reference: each c_i * inner_num^i * inner_den^(total_degree-i) built
+    by its own powers and summed term by term."""
+    if total_degree < p.degree:
+        raise ValueError("total_degree below the polynomial degree")
+    result = Polynomial()
+    for i, c in enumerate(p.coefficients):
+        result = result + c * inner_num**i * inner_den ** (total_degree - i)
+    return result
+
+
+class TestSubstituteCleared:
+    @staticmethod
+    def _random_poly(rng, max_degree):
+        return Polynomial(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(rng.randint(0, max_degree + 1))
+        )
+
+    def test_matches_per_term_reference_on_random_grid(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            p = self._random_poly(rng, 8)
+            inner_num = self._random_poly(rng, 3)
+            inner_den = self._random_poly(rng, 3)
+            total_degree = p.degree + rng.randint(0, 3)
+            expected = _substitute_cleared_per_term(p, inner_num, inner_den, total_degree)
+            got = substitute_cleared(p, inner_num, inner_den, total_degree)
+            assert got == expected, (p, inner_num, inner_den, total_degree)
+
+    def test_zero_polynomial(self):
+        for total_degree in range(-1, 4):
+            args = (Polynomial(), Polynomial([1, 2, 3]), Polynomial([1, -1]), total_degree)
+            assert substitute_cleared(*args) == Polynomial()
+
+    def test_total_degree_below_degree_rejected(self):
+        p = Polynomial([1, 2, 3])
+        with pytest.raises(ValueError, match="total_degree below the polynomial degree"):
+            substitute_cleared(p, Polynomial([0, 1]), Polynomial([1, -1]), 1)
 
 
 class TestRationalGFCanonical:

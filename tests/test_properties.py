@@ -1,0 +1,69 @@
+"""Algebraic invariants of RationalGF and the genfunc operators, as properties.
+
+Random small rational functions come from Hypothesis; the module is skipped
+when Hypothesis is not installed.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from binsum.genfunc import (  # noqa: E402
+    binomial_transform_gf,
+    reconstruct_rational,
+    recurrence_from_gf,
+)
+from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+coefficient = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+polynomial = st.lists(coefficient, max_size=5).map(Polynomial)
+nonzero_polynomial = polynomial.filter(lambda p: not p.is_zero())
+# a nonzero constant coefficient, so the function has a power series at 0
+power_series_denominator = st.tuples(
+    coefficient.filter(lambda c: c != 0), st.lists(coefficient, max_size=4)
+).map(lambda parts: Polynomial([parts[0], *parts[1]]))
+
+any_gf = st.builds(RationalGF, polynomial, nonzero_polynomial)
+series_gf = st.builds(RationalGF, polynomial, power_series_denominator)
+
+
+@SETTINGS
+@given(polynomial, nonzero_polynomial)
+def test_canonical_form_invariants(num, den):
+    f = RationalGF(num, den)
+    assert poly_gcd(f.numerator, f.denominator).degree == 0
+    coefficients = f.numerator.coefficients + f.denominator.coefficients
+    assert all(c.denominator == 1 for c in coefficients)
+    assert gcd(*(int(c) for c in coefficients)) == 1
+    assert next(c for c in f.denominator.coefficients if c != 0) > 0
+    # the same function, presented differently, has the same canonical form
+    assert f == RationalGF(num * Fraction(-3, 2), den * Fraction(-3, 2))
+    assert f == RationalGF(num * Polynomial([2, -1]), den * Polynomial([2, -1]))
+
+
+@SETTINGS
+@given(any_gf)
+def test_binomial_transform_is_an_involution(f):
+    assert binomial_transform_gf(binomial_transform_gf(f)) == f
+
+
+@SETTINGS
+@given(series_gf, st.integers(min_value=1, max_value=25))
+def test_recurrence_regenerates_series(f, n):
+    assert recurrence_from_gf(f).terms(n) == f.series(n)
+
+
+@SETTINGS
+@given(series_gf, st.integers(min_value=0, max_value=3))
+def test_reconstruct_recovers_function(f, spare):
+    num_degree = max(f.numerator.degree, 0)
+    den_degree = f.denominator.degree
+    series = f.series(num_degree + den_degree + 2 + spare)
+    assert reconstruct_rational(series, num_degree, den_degree) == f
