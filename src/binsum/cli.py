@@ -193,18 +193,20 @@ def _require(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _family_params(args) -> tuple:
+    """The family's (k or J, q), with an integral q as int; family c/C needs integer q."""
+    family = args.family
+    if family in ("c", "C"):
+        _require(args.J is not None and args.q is not None, f"family {family} requires --J and --q")
+        _require(args.q.denominator == 1, f"family {family} requires integer q")
+        return args.J, int(args.q)
+    _require(args.k is not None and args.q is not None, f"family {family} requires --k and --q")
+    return args.k, int(args.q) if args.q.denominator == 1 else args.q
+
+
 def _seq_values(args) -> list:
     family = args.family
-    if family in ("a", "b"):
-        _require(args.k is not None and args.q is not None, f"family {family} requires --k and --q")
-        k_or_J, q = args.k, args.q
-        if q.denominator == 1:
-            q = int(q)
-    else:
-        _require(args.J is not None and args.q is not None, "family c requires --J and --q")
-        _require(args.q.denominator == 1, "family c requires integer q")
-        k_or_J, q = args.J, int(args.q)
-
+    k_or_J, q = _family_params(args)
     # built per call, so the evaluators are the ones the module holds now
     routes = {
         ("a", "direct"): a_double_sum,
@@ -246,32 +248,26 @@ def _cmd_seq(args) -> int:
 def _build_gf(args) -> tuple[RationalGF, str]:
     """Return the requested function and its display variable."""
     family = args.family
-    degrees = (getattr(args, "num_degree", None), getattr(args, "den_degree", None))
+    num_degree, den_degree = getattr(args, "num_degree", None), getattr(args, "den_degree", None)
+    reconstruct = getattr(args, "reconstruct", False)
     _require(
-        getattr(args, "reconstruct", False) or degrees == (None, None),
+        reconstruct or (num_degree, den_degree) == (None, None),
         "--num-degree and --den-degree require --reconstruct",
     )
-    if family == "C":
-        _require(args.J is not None and args.q is not None, "family C requires --J and --q")
-        _require(args.q.denominator == 1, "family C requires integer q")
-        return C_gf_stirling(args.J, int(args.q)), "x"
-
-    _require(args.k is not None and args.q is not None, f"family {family} requires --k and --q")
-    k, q = args.k, args.q
-    if getattr(args, "reconstruct", False):
-        num_degree = args.num_degree if args.num_degree is not None else k
-        den_degree = args.den_degree if args.den_degree is not None else k + 1
-        count = num_degree + den_degree + 4
-        if family == "B":
-            series = [b_direct(k, q, j) for j in range(count)]
-        else:
-            series = [a_single_sum(k, q, m) for m in range(count)]
-        return reconstruct_rational(series, num_degree, den_degree), "z"
+    k_or_J, q = _family_params(args)
+    variable = "x" if family == "C" else "z"
+    # built per call, so the functions are the ones the module holds now
+    if reconstruct:
+        evaluate = {"A": a_single_sum, "B": b_direct, "C": c_direct}[family]
+        num_degree = k_or_J if num_degree is None else num_degree
+        den_degree = k_or_J + 1 if den_degree is None else den_degree
+        series = [evaluate(k_or_J, q, n) for n in range(num_degree + den_degree + 4)]
+        return reconstruct_rational(series, num_degree, den_degree), variable
 
     hint = " (or --reconstruct)" if args.command == "gf" else ""
     _require(q.denominator == 1, f"family {family} requires integer q{hint}")
-    q = int(q)
-    return (B_gf(k, q) if family == "B" else A_gf(k, q)), "z"
+    build = {"A": A_gf, "B": B_gf, "C": C_gf_stirling}[family]
+    return build(k_or_J, q), variable
 
 
 def _cmd_gf(args) -> int:

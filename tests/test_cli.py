@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -211,6 +212,23 @@ class TestGf:
         assert code == 0
         assert out == "(1 + z - 3*z^2)/(1 - 3*z)^3\n"
 
+    def test_c_family_reconstruct(self, capsys):
+        base = ("gf", "--family", "C", "--J", "2", "--q", "2", "--reconstruct")
+        for flags in ((), ("--num-degree", "5")):
+            code, out, err = run(capsys, *base, *flags)
+            assert code == 0
+            assert out == "(1 + 3*x)/(1 - x)^3\n"
+            assert err == ""
+
+    def test_c_family_reconstruct_degrees_too_low(self, capsys):
+        code, out, err = run(
+            capsys, "gf", "--family", "C", "--J", "3", "--q", "2", "--reconstruct",
+            "--den-degree", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "binsum: error: no rational function of degrees (3, 1) fits the series\n"
+
 
 class TestRecur:
     def test_a_family(self, capsys):
@@ -272,6 +290,15 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["counts"]["fail"] == 0
+
+    def test_full_offline_report_is_pinned(self, capsys, monkeypatch, tmp_path):
+        # the report's bytes at default bounds; a change to them must be deliberate
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--offline")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0071333cb041af6b02ca604587477c8b407d87373d9c41b1a9b2548ec5cc30c1"
+        )
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")

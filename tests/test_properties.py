@@ -1,7 +1,7 @@
 """Algebraic invariants of RationalGF and the genfunc operators, as properties.
 
-Random small rational functions come from Hypothesis; the module is skipped
-when Hypothesis is not installed.
+Random small rational functions and rational binomial tops come from
+Hypothesis; the module is skipped when Hypothesis is not installed.
 """
 
 from fractions import Fraction
@@ -13,6 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from binsum.combinatorics import binomial  # noqa: E402
 from binsum.genfunc import (  # noqa: E402
     binomial_transform_gf,
     reconstruct_rational,
@@ -31,6 +32,7 @@ power_series_denominator = st.tuples(
 ).map(lambda parts: Polynomial([parts[0], *parts[1]]))
 
 any_gf = st.builds(RationalGF, polynomial, nonzero_polynomial)
+nonzero_gf = st.builds(RationalGF, nonzero_polynomial, nonzero_polynomial)
 series_gf = st.builds(RationalGF, polynomial, power_series_denominator)
 
 
@@ -67,3 +69,36 @@ def test_reconstruct_recovers_function(f, spare):
     den_degree = f.denominator.degree
     series = f.series(num_degree + den_degree + 2 + spare)
     assert reconstruct_rational(series, num_degree, den_degree) == f
+
+
+@SETTINGS
+@given(any_gf, any_gf, any_gf)
+def test_field_laws(f, g, h):
+    assert f + g == g + f
+    assert (f + g) + h == f + (g + h)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f - f == RationalGF(0)
+
+
+@SETTINGS
+@given(nonzero_gf)
+def test_quotient_by_itself_is_one(f):
+    assert f / f == RationalGF(1)
+
+
+rational_top = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+bottom = st.integers(min_value=0, max_value=12)
+
+
+@SETTINGS
+@given(rational_top, bottom)
+def test_binomial_pascal(x, k):
+    assert binomial(x, k) == binomial(x - 1, k) + binomial(x - 1, k - 1)
+
+
+@SETTINGS
+@given(rational_top, bottom)
+def test_binomial_reflection(x, k):
+    assert binomial(x, k) == (-1) ** k * binomial(k - x - 1, k)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from binsum.polynomials import Polynomial
 from binsum.verify import Bounds, CaseResult, VerificationReport, run_suite
 
 
@@ -135,7 +136,6 @@ class TestFailureText:
 
     def test_triangle_row_mismatch(self, monkeypatch, tmp_path):
         import binsum.verify as verify_mod
-        from binsum.polynomials import Polynomial
 
         real = verify_mod.omega_poly
         monkeypatch.setattr(
@@ -177,3 +177,71 @@ class TestFailureText:
         roundtrip = cases["tables/roundtrip/b-table"]
         assert roundtrip.status == "fail"
         assert roundtrip.actual == "k0-q0: refit 1/(1 - z) != 1"
+
+    @pytest.mark.parametrize(
+        "name, point, bump, suite, bounds, case_id, complaint",
+        [
+            pytest.param(
+                "a_double_sum", (1, 2, 5), lambda v: v + 1, "tables", Bounds(k_max=1, q_max=2),
+                "tables/recurrence-fidelity/a-k1-q2",
+                "series of the rational function diverges from the evaluator",
+                id="a_double_sum",
+            ),
+            pytest.param(
+                "B_gf", (2, 3), lambda f: f / Polynomial([1, 1]), "tables",
+                Bounds(k_max=0, q_max=0), "tables/denominator/k2-q3",
+                "denominator 1 + 10*z + 36*z^2 + 54*z^3 + 27*z^4 "
+                "does not divide 1 + 9*z + 27*z^2 + 27*z^3",
+                id="B_gf",
+            ),
+            pytest.param(
+                "C_gf_stirling", (2, 3), lambda f: f + 1, "tables", Bounds(k_max=0, q_max=0),
+                "tables/c-row/J2-q3",
+                "constructed (2 + 4*x + 4*x^2 - x^3)/(1 - x)^3, "
+                "table lists (1 + 7*x + x^2)/(1 - x)^3",
+                id="C_gf_stirling",
+            ),
+            pytest.param(
+                "C2_closed_form", (5,), lambda f: f + 1, "tables", Bounds(k_max=0, q_max=0),
+                "tables/c2-closed/J5",
+                "closed form (2 + 9*x + 30*x^2 - 19*x^3 + 15*x^4 - 6*x^5 + x^6)/(1 - x)^6, "
+                "construction (1 + 15*x + 15*x^2 + x^3)/(1 - x)^6",
+                id="C2_closed_form",
+            ),
+            pytest.param(
+                "zero_sum_identity", (7, 3), lambda v: v + 1, "identities", Bounds(),
+                "identities/zero-sum/q3", "j=7: sum evaluates to 1",
+                id="zero_sum_identity",
+            ),
+            pytest.param(
+                "power_via_stirling", (5, 4), lambda v: v + 1, "identities", Bounds(),
+                "identities/power-stirling/n04", "base=5: rebuilt 626, expected 625",
+                id="power_via_stirling",
+            ),
+            pytest.param(
+                "b_k1_closed", (2, 3), lambda v: v + 1, "formulas",
+                Bounds(k_max=2, q_max=0, m_max=0, j_max=4), "formulas/b-closed-q1/k2",
+                "j=3: closed form gave -9, direct sum gave -10",
+                id="b_k1_closed",
+            ),
+            pytest.param(
+                "stirling_omega_identity_check", (5,), lambda pair: (pair[0], pair[1] + 1),
+                "identities", Bounds(), "identities/omega-inversion/n05",
+                "reconstruction gave 1 + x^5",
+                id="stirling_omega_identity_check",
+            ),
+        ],
+    )
+    def test_check_catches_one_wrong_point(
+        self, monkeypatch, name, point, bump, suite, bounds, case_id, complaint
+    ):
+        # the acceptance gate runs these checks too, so each must complain
+        import binsum.verify as verify_mod
+
+        real = getattr(verify_mod, name)
+        monkeypatch.setattr(
+            verify_mod, name, lambda *args: bump(real(*args)) if args == point else real(*args)
+        )
+        case = cases_by_id(run_suite(suite, bounds))[case_id]
+        assert case.status == "fail"
+        assert case.actual == complaint
