@@ -19,14 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oeis as oeis_mod
-from .errors import (
-    BFileParseError,
-    FixtureMissingError,
-    NeedsMoreTermsError,
-    NoRationalFitError,
-    TransportError,
-    UnsupportedParameterError,
-)
+from .errors import BFileParseError, FixtureMissingError, TransportError
 from .genfunc import A_gf, B_gf, C_gf_stirling, reconstruct_rational, recurrence_from_gf
 from .polynomials import RationalGF
 from .sequences import (
@@ -66,24 +59,23 @@ def _q_literal(text: str) -> Fraction:
     return value
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_at_least(minimum: int, word: str):
+    """An argparse type for integers >= minimum, whose complaint says word."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {word}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+_positive = _int_at_least(1, "positive")
+_nonnegative = _int_at_least(0, "nonnegative")
 
 
 def build_parser() -> _Parser:
@@ -91,10 +83,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     seq = sub.add_parser("seq", help="print sequence terms")
-    seq.add_argument("--family", choices=("a", "b", "c"), required=True)
-    seq.add_argument("--k", type=_nonnegative)
-    seq.add_argument("--q", type=_q_literal)
-    seq.add_argument("--J", type=_nonnegative)
+    gf = sub.add_parser("gf", help="print a rational generating function")
+    recur = sub.add_parser("recur", help="print the linear recurrence")
+    for command, families in ((seq, "abc"), (gf, "ABC"), (recur, "ABC")):
+        command.add_argument("--family", choices=tuple(families), required=True)
+        command.add_argument("--k", type=_nonnegative)
+        command.add_argument("--q", type=_q_literal)
+        command.add_argument("--J", type=_nonnegative)
+
     seq.add_argument("--n-max", type=_positive, default=16)
     seq.add_argument(
         "--format", choices=("text", "csv", "json", "bfile"), default="text"
@@ -106,11 +102,6 @@ def build_parser() -> _Parser:
         help="evaluation route; series needs integer q",
     )
 
-    gf = sub.add_parser("gf", help="print a rational generating function")
-    gf.add_argument("--family", choices=("A", "B", "C"), required=True)
-    gf.add_argument("--k", type=_nonnegative)
-    gf.add_argument("--q", type=_q_literal)
-    gf.add_argument("--J", type=_nonnegative)
     gf.add_argument(
         "--reconstruct",
         action="store_true",
@@ -120,11 +111,6 @@ def build_parser() -> _Parser:
     gf.add_argument("--den-degree", type=_nonnegative)
     gf.add_argument("--format", choices=("text", "json"), default="text")
 
-    recur = sub.add_parser("recur", help="print the linear recurrence")
-    recur.add_argument("--family", choices=("A", "B", "C"), required=True)
-    recur.add_argument("--k", type=_nonnegative)
-    recur.add_argument("--q", type=_q_literal)
-    recur.add_argument("--J", type=_nonnegative)
     recur.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run verification suites")
@@ -149,12 +135,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _q_string(q: Optional[Fraction]) -> Optional[str]:
-    if q is None:
-        return None
-    return str(q)
-
-
 def _json_document(
     family: str,
     k: Optional[int],
@@ -166,7 +146,7 @@ def _json_document(
 ) -> str:
     document = {
         "family": family,
-        "params": {"k": k, "q": _q_string(q), "J": J},
+        "params": {"k": k, "q": None if q is None else str(q), "J": J},
         "terms": [str(t) for t in terms] if terms is not None else None,
         "gf": None,
         "recurrence": None,
@@ -238,10 +218,7 @@ def _cmd_seq(args) -> int:
                 )
         print("\n".join(f"{i} {v}" for i, v in enumerate(values)))
     else:
-        print(
-            _json_document(args.family, getattr(args, "k", None), args.q,
-                           args.J, terms=values)
-        )
+        print(_json_document(args.family, args.k, args.q, args.J, terms=values))
     return EXIT_PASS
 
 
@@ -317,33 +294,29 @@ def _cmd_oeis(args) -> int:
     return EXIT_PASS
 
 
+_PARSER = build_parser()
+_HANDLERS = {
+    "seq": _cmd_seq,
+    "gf": _cmd_gf,
+    "recur": _cmd_recur,
+    "verify": _cmd_verify,
+    "oeis": _cmd_oeis,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
-            raise _UsageError("a subcommand is required (seq, gf, recur, verify, oeis)")
-        handlers = {
-            "seq": _cmd_seq,
-            "gf": _cmd_gf,
-            "recur": _cmd_recur,
-            "verify": _cmd_verify,
-            "oeis": _cmd_oeis,
-        }
-        return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"binsum: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise _UsageError(f"a subcommand is required ({', '.join(_HANDLERS)})")
+        return _HANDLERS[args.command](args)
+    # BFileParseError is a ValueError, so the transport clause comes first
     except (TransportError, FixtureMissingError, BFileParseError) as exc:
         print(f"binsum: error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (
-        UnsupportedParameterError,
-        NoRationalFitError,
-        NeedsMoreTermsError,
-        ValueError,
-        ArithmeticError,  # SeriesPoleError, ZeroDivisionError, ...
-    ) as exc:
+    # ValueError covers the parameter and fitting errors; ArithmeticError
+    # covers SeriesPoleError, ZeroDivisionError, ...
+    except (_UsageError, ValueError, ArithmeticError) as exc:
         print(f"binsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,7 +29,7 @@ from .combinatorics import (
     stirling2,
 )
 from .errors import NeedsMoreTermsError, NoRationalFitError, NotAPowerSeriesError
-from .polynomials import Polynomial, RationalGF, substitute_cleared
+from .polynomials import Polynomial, RationalGF, render_terms, substitute_cleared
 from .sequences import _require_integer_q
 
 
@@ -96,15 +96,9 @@ def omega_poly(n: int) -> Polynomial:
     return Polynomial([stirling2(n, j) * factorial(j) for j in range(n + 1)])
 
 
-def _omega_transformed(n: int) -> tuple[Polynomial, int]:
-    """Numerator and denominator power of 1/(1-x) * omega_n(x/(1-x)).
-
-    Returns (P, n+1) with the value equal to P(x)/(1-x)^(n+1).
-    """
-    numerator = substitute_cleared(
-        omega_poly(n), Polynomial([0, 1]), Polynomial([1, -1]), n
-    )
-    return numerator, n + 1
+def _omega_transformed(n: int) -> Polynomial:
+    """The P with 1/(1-x) * omega_n(x/(1-x)) = P(x)/(1-x)^(n+1)."""
+    return substitute_cleared(omega_poly(n), Polynomial([0, 1]), Polynomial([1, -1]), n)
 
 
 def power_sum_gf(n: int) -> RationalGF:
@@ -113,8 +107,7 @@ def power_sum_gf(n: int) -> RationalGF:
     Built by the omega substitution and cross-checked coefficientwise against
     the Eulerian-number numerator; the two routes must coincide.
     """
-    numerator, power = _omega_transformed(n)
-    result = RationalGF(numerator, Polynomial([1, -1]) ** power)
+    result = RationalGF(_omega_transformed(n), Polynomial([1, -1]) ** (n + 1))
     if n == 0:
         eulerian_numerator = Polynomial([1])
     else:
@@ -141,9 +134,8 @@ def C_gf_stirling(J: int, q: int) -> RationalGF:
     one_minus = Polynomial([1, -1])
     numerator = Polynomial()
     for t in range(J + 1):
-        omega_num, _ = _omega_transformed(t)
         weight = q**t * (-1) ** (J + t) * stirling1_signed(J + 1, t + 1)
-        numerator = numerator * one_minus + weight * omega_num
+        numerator = numerator * one_minus + weight * _omega_transformed(t)
     return RationalGF(numerator, factorial(J) * one_minus ** (J + 1))
 
 
@@ -259,17 +251,9 @@ class CFiniteRecurrence:
         return out
 
     def render(self, symbol: str = "a") -> str:
-        pieces = []
-        for i, c in enumerate(self.coefficients, start=1):
-            if c == 0:
-                continue
-            magnitude = abs(c)
-            body = f"{symbol}(n-{i})" if magnitude == 1 else f"{magnitude}*{symbol}(n-{i})"
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-        summed = " ".join(pieces) if pieces else "0"
+        summed = render_terms(
+            (c, f"{symbol}(n-{i})") for i, c in enumerate(self.coefficients, start=1)
+        )
         return f"{symbol}(n) = {summed}"
 
 

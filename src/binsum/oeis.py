@@ -4,7 +4,8 @@ A b-file is the plain-text term listing OEIS serves for each sequence:
 one ``index value`` pair per line, ``#`` comment lines and blank lines
 ignored.  This module parses that format, fetches files over HTTP with a
 local cache, falls back to bundled fixtures when offline, and compares a
-computed term list against the reference terms under a small index shift.
+computed term list against the reference terms at the index shift its
+mapping pins.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ __all__ = [
 _ID_PATTERN = re.compile(r"\AA\d{6,7}\Z")
 _BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
 
-# comparison window: shifts tried when a mapping does not pin one
-_SHIFT_RANGE = range(-5, 6)
+# agreeing terms a comparison needs before it counts as a match
 _MIN_OVERLAP = 20
 
 
@@ -158,27 +158,27 @@ def fetch_bfile(
 
 @dataclass(frozen=True)
 class OeisMapping:
-    """How one of our sequences lines up with an OEIS entry."""
+    """How a(k, q; m) lines up with an OEIS entry: term m is the entry's
+    term m + offset_shift."""
 
     oeis_id: str
-    family: str  # "a", "b", "c", or "gf-numerator"
-    params: tuple
-    offset_shift: Optional[int]  # pinned shift, or None to search
-    note: str = ""
+    params: tuple  # (k, q)
+    offset_shift: int
 
 
 PINNED_MAPPINGS: tuple[OeisMapping, ...] = (
-    OeisMapping("A027471", "a", (1, 2), 2, "n*3^(n-1) shifted; file starts at index 1 with a leading 0"),
-    OeisMapping("A361609", "a", (2, 3), 0, ""),
-    OeisMapping("A361610", "a", (3, 4), 0, ""),
-    OeisMapping("A361608", "a", (5, 6), 0, ""),
+    # n*3^(n-1) shifted; file starts at index 1 with a leading 0
+    OeisMapping("A027471", (1, 2), 2),
+    OeisMapping("A361609", (2, 3), 0),
+    OeisMapping("A361610", (3, 4), 0),
+    OeisMapping("A361608", (5, 6), 0),
 )
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
     oeis_id: str
-    shift: Optional[int]
+    shift: int
     overlap: int
     matched: bool
     first_divergence: Optional[tuple[int, int, int]]  # (our index, ours, theirs)
@@ -190,7 +190,10 @@ class ComparisonResult:
                 f"{self.overlap} terms compared"
             )
         if self.first_divergence is None:
-            return f"{self.oeis_id}: no shift in [-5, 5] gives {_MIN_OVERLAP}+ matching terms"
+            return (
+                f"{self.oeis_id}: only {self.overlap} terms overlap at shift "
+                f"{self.shift:+d}, need {_MIN_OVERLAP}"
+            )
         index, ours, theirs = self.first_divergence
         return (
             f"{self.oeis_id}: mismatch at our index {index}: "
@@ -198,43 +201,25 @@ class ComparisonResult:
         )
 
 
-def _try_shift(
-    computed: Sequence[int], reference: dict[int, int], shift: int
-) -> tuple[int, Optional[tuple[int, int, int]]]:
-    """Count overlapping agreements under computed[i] == reference[i + shift]."""
-    overlap = 0
-    for i, ours in enumerate(computed):
-        theirs = reference.get(i + shift)
-        if theirs is None:
-            continue
-        if ours != theirs:
-            return overlap, (i, ours, theirs)
-        overlap += 1
-    return overlap, None
-
-
 def compare_terms(
     computed: Sequence[int],
     reference: dict[int, int],
     oeis_id: str,
     *,
-    pinned_shift: Optional[int] = None,
+    pinned_shift: int,
 ) -> ComparisonResult:
-    """Match computed terms against reference terms, possibly searching shifts."""
-    shifts = [pinned_shift] if pinned_shift is not None else list(_SHIFT_RANGE)
-    best: Optional[ComparisonResult] = None
-    for shift in shifts:
-        overlap, divergence = _try_shift(computed, reference, shift)
-        if divergence is None and overlap >= _MIN_OVERLAP:
-            return ComparisonResult(oeis_id, shift, overlap, True, None)
-        candidate = ComparisonResult(oeis_id, shift, overlap, False, divergence)
-        if best is None or overlap > best.overlap:
-            best = candidate
-    assert best is not None
-    if pinned_shift is None and best.first_divergence is None:
-        # every shift ran out of overlap rather than disagreeing
-        return ComparisonResult(oeis_id, None, best.overlap, False, None)
-    return best
+    """Match computed[i] against reference[i + pinned_shift] wherever the
+    reference has that index; a match needs every such pair to agree and at
+    least _MIN_OVERLAP of them."""
+    overlap = 0
+    for i, ours in enumerate(computed):
+        theirs = reference.get(i + pinned_shift)
+        if theirs is None:
+            continue
+        if ours != theirs:
+            return ComparisonResult(oeis_id, pinned_shift, overlap, False, (i, ours, theirs))
+        overlap += 1
+    return ComparisonResult(oeis_id, pinned_shift, overlap, overlap >= _MIN_OVERLAP, None)
 
 
 def compare_with_oeis(
@@ -244,11 +229,8 @@ def compare_with_oeis(
     offline: bool = False,
     cache_dir: Optional[str] = None,
 ) -> ComparisonResult:
-    """Check computed terms against the mapping's OEIS entry.
-
-    A mapping with offset_shift None asks for auto-resolution over the
-    shift window; a pinned shift is used as-is.
-    """
+    """Check computed terms against the mapping's OEIS entry at the
+    mapping's pinned offset_shift."""
     pairs = fetch_bfile(mapping.oeis_id, offline=offline, cache_dir=cache_dir)
     return compare_terms(
         computed, dict(pairs), mapping.oeis_id, pinned_shift=mapping.offset_shift

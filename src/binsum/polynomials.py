@@ -74,7 +74,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # a constant equals its value, so it hashes as it
+        return hash(self._coeffs) if self.degree > 0 else hash(self.coefficient(0))
 
     def __add__(self, other: CoeffsLike) -> "Polynomial":
         other = Polynomial.from_value(other)
@@ -121,12 +122,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def __call__(self, x: Scalar) -> Fraction:
-        result = Fraction(0)
-        for c in reversed(self._coeffs):
-            result = result * x + c
-        return result
-
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         other = Polynomial.from_value(other)
         if other.is_zero():
@@ -147,39 +142,37 @@ class Polynomial:
             remainder.pop()
         return Polynomial(quotient), Polynomial(remainder)
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self._coeffs) if i > 0)
-
-    def compose_linear(self, constant: Scalar, slope: Scalar) -> "Polynomial":
-        """Substitute z -> constant + slope*z."""
-        inner = Polynomial([constant, slope])
-        result = Polynomial()
-        for c in reversed(self._coeffs):
-            result = result * inner + Polynomial([c])
-        return result
-
     def render(self, variable: str = "z") -> str:
         """Human form with explicit * and ^: e.g. 1 - 3*z + z^2."""
-        if self.is_zero():
-            return "0"
-        pieces: list[str] = []
-        for power, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            magnitude = abs(c)
-            if power == 0:
-                body = str(magnitude)
-            else:
-                var = variable if power == 1 else f"{variable}^{power}"
-                body = var if magnitude == 1 else f"{magnitude}*{var}"
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(pieces)
+        return render_terms(
+            (c, "" if power == 0 else variable if power == 1 else f"{variable}^{power}")
+            for power, c in enumerate(self._coeffs)
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
+
+
+def render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Signed sum of (coefficient, name) terms, e.g. 1 - 3*z + z^2.
+
+    An empty name is the constant term.  Zero terms are skipped, a unit
+    coefficient is left out, and an empty sum is "0".
+    """
+    pieces: list[str] = []
+    for c, name in terms:
+        if c == 0:
+            continue
+        magnitude = abs(c)
+        if not name:
+            body = str(magnitude)
+        else:
+            body = name if magnitude == 1 else f"{magnitude}*{name}"
+        if not pieces:
+            pieces.append(f"-{body}" if c < 0 else body)
+        else:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(pieces) if pieces else "0"
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -258,9 +251,14 @@ class RationalGF:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalGF):
             return self._num == other._num and self._den == other._den
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return self == _as_gf(other)
         return NotImplemented
 
     def __hash__(self) -> int:
+        # over a constant denominator the function equals a Polynomial
+        if self._den.degree == 0:
+            return hash(self._num * (1 / self._den.coefficient(0)))
         return hash((self._num, self._den))
 
     def __add__(self, other: "RationalGF | CoeffsLike") -> "RationalGF":
@@ -318,7 +316,7 @@ class RationalGF:
         if e < 2 or den.coefficient(0) == 0:
             return None
         # for c*(b0+b1*z)^e the logarithmic derivative at 0 gives b1/b0
-        ratio = Fraction(den.derivative().coefficient(0), e * den.coefficient(0))
+        ratio = Fraction(den.coefficient(1), e * den.coefficient(0))
         base = Polynomial([ratio.denominator, ratio.numerator])
         if base.coefficient(0) < 0:
             base = -base

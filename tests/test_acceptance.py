@@ -11,6 +11,7 @@ criterion either holds exactly or the test fails with the first few
 divergences in the assertion message.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -194,6 +195,11 @@ def test_criterion_09_roundtrip(capsys):
     _verdict(capsys, "gf-roundtrip", [complaint] if complaint else [])
 
 
+# sha256 of the full offline report at default bounds; a change to its bytes
+# must be deliberate
+PINNED_REPORT_SHA256 = "0071333cb041af6b02ca604587477c8b407d87373d9c41b1a9b2548ec5cc30c1"
+
+
 def test_criterion_10_determinism(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path / "cache"))
     argv = ["verify", "--suite", "all", "--offline"]
@@ -208,4 +214,7 @@ def test_criterion_10_determinism(capsys, monkeypatch, tmp_path):
         failures.append("no report emitted")
     if out_first != out_second:
         failures.append("consecutive runs differ byte-for-byte")
+    digest = hashlib.sha256(out_first.encode()).hexdigest()
+    if digest != PINNED_REPORT_SHA256:
+        failures.append(f"report sha256 {digest}, pinned {PINNED_REPORT_SHA256}")
     _verdict(capsys, "determinism", failures)

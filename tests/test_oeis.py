@@ -7,7 +7,6 @@ import pytest
 
 from binsum.errors import BFileParseError, FixtureMissingError, TransportError
 from binsum.oeis import (
-    OeisMapping,
     PINNED_MAPPINGS,
     cache_path,
     compare_terms,
@@ -169,13 +168,6 @@ class TestCompareTerms:
         assert result.shift == 3
         assert result.overlap == len(computed)
 
-    def test_auto_shift_search(self):
-        computed = [i * i for i in range(30)]
-        reference = {i - 2: v for i, v in enumerate(computed)}
-        result = compare_terms(computed, reference, "A000000")
-        assert result.matched
-        assert result.shift == -2
-
     def test_perturbed_term_detected(self):
         computed = [i * i * i for i in range(30)]
         reference = {i: v for i, v in enumerate(computed)}
@@ -188,8 +180,10 @@ class TestCompareTerms:
     def test_insufficient_overlap(self):
         computed = [1, 2, 3]
         reference = {0: 1, 1: 2, 2: 3}
-        result = compare_terms(computed, reference, "A000000")
+        result = compare_terms(computed, reference, "A000001", pinned_shift=0)
         assert not result.matched  # only 3 agreeing terms, threshold is 20
+        assert result.first_divergence is None
+        assert result.describe() == "A000001: only 3 terms overlap at shift +0, need 20"
 
     def test_describe_on_match(self):
         computed = list(range(25))
@@ -220,16 +214,6 @@ class TestMappings:
 
     def test_shifted_mapping_offline(self, tmp_path):
         mapping = mapping_for("A027471")
-        computed = [int(a_single_sum(1, 2, m)) for m in range(30)]
-        result = compare_with_oeis(
-            mapping, computed, offline=True, cache_dir=str(tmp_path)
-        )
-        assert result.matched
-        assert result.shift == 2
-
-    def test_auto_resolution_finds_pinned_shift(self, tmp_path):
-        # drop the pin and let the search rediscover it
-        mapping = OeisMapping("A027471", "a", (1, 2), None)
         computed = [int(a_single_sum(1, 2, m)) for m in range(30)]
         result = compare_with_oeis(
             mapping, computed, offline=True, cache_dir=str(tmp_path)

@@ -35,17 +35,6 @@ class TestPolynomial:
         assert Polynomial([1, 1]) ** 4 == Polynomial([1, 4, 6, 4, 1])
         assert Polynomial([2, 1]) ** 0 == Polynomial([1])
 
-    def test_call_is_horner(self):
-        p = Polynomial([1, -3, 2])
-        assert p(0) == 1
-        assert p(Fraction(1, 2)) == 0
-        assert p(1) == 0
-
-    def test_compose_linear(self):
-        # z -> 2z in (1 + z), then z -> 1 + z in z^2
-        assert Polynomial([1, 1]).compose_linear(0, 2) == Polynomial([1, 2])
-        assert Polynomial([0, 0, 1]).compose_linear(1, 1) == Polynomial([1, 2, 1])
-
     def test_divmod_exact(self):
         product = Polynomial([1, 2]) * Polynomial([3, 0, 1])
         quotient, remainder = divmod(product, Polynomial([1, 2]))
@@ -56,9 +45,6 @@ class TestPolynomial:
         quotient, remainder = divmod(Polynomial([1, 0, 1]), Polynomial([1, 1]))
         assert quotient * Polynomial([1, 1]) + remainder == Polynomial([1, 0, 1])
         assert remainder.degree < 1
-
-    def test_derivative(self):
-        assert Polynomial([5, 3, 0, 2]).derivative() == Polynomial([3, 0, 6])
 
     def test_monomial(self):
         assert Polynomial.monomial(3, 2) == Polynomial([0, 0, 3])

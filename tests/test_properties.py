@@ -80,12 +80,28 @@ def test_field_laws(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert f - f == RationalGF(0)
+    assert f - f == 0
 
 
 @SETTINGS
 @given(nonzero_gf)
 def test_quotient_by_itself_is_one(f):
     assert f / f == RationalGF(1)
+    assert f / f == 1
+
+
+@SETTINGS
+@given(coefficient, polynomial)
+def test_equality_accepts_what_arithmetic_accepts(c, p):
+    # a constant or a polynomial equals the RationalGF it builds, both ways round
+    assert RationalGF(c) == c and c == RationalGF(c)
+    assert RationalGF(int(c)) == int(c)
+    assert RationalGF(p) == p and p == RationalGF(p)
+    assert RationalGF(1, Polynomial([1, 1])) != p  # not a polynomial
+    assert RationalGF(c) + 1 != c
+    # equal objects hash equal, so they meet as dict keys
+    assert hash(RationalGF(c)) == hash(c) == hash(Polynomial([c]))
+    assert hash(RationalGF(p)) == hash(p)
 
 
 rational_top = st.fractions(min_value=-20, max_value=20, max_denominator=6)
