@@ -12,6 +12,7 @@ error, 3 transport or fixture error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -168,6 +169,23 @@ def _json_document(
     return json.dumps(document, indent=2)
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's cap on int-to-str digits (4,300 by default) while output
+    is rendered: exact terms and coefficients can have any number of digits.
+    The caller's cap comes back afterwards, since main also runs in process.
+    Builds without the cap (before 3.10.7) need nothing."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise _UsageError(message)
@@ -206,19 +224,20 @@ def _seq_values(args) -> list:
 
 def _cmd_seq(args) -> int:
     values = _seq_values(args)
-    if args.format == "text":
-        print(" ".join(str(v) for v in values))
-    elif args.format == "csv":
-        print(",".join(str(v) for v in values))
-    elif args.format == "bfile":
-        for i, v in enumerate(values):
-            if Fraction(v).denominator != 1:
-                raise _UsageError(
-                    f"term {i} is {v}; b-file output needs integer terms"
-                )
-        print("\n".join(f"{i} {v}" for i, v in enumerate(values)))
-    else:
-        print(_json_document(args.family, args.k, args.q, args.J, terms=values))
+    with _unlimited_int_digits():
+        if args.format == "text":
+            print(" ".join(str(v) for v in values))
+        elif args.format == "csv":
+            print(",".join(str(v) for v in values))
+        elif args.format == "bfile":
+            for i, v in enumerate(values):
+                if Fraction(v).denominator != 1:
+                    raise _UsageError(
+                        f"term {i} is {v}; b-file output needs integer terms"
+                    )
+            print("\n".join(f"{i} {v}" for i, v in enumerate(values)))
+        else:
+            print(_json_document(args.family, args.k, args.q, args.J, terms=values))
     return EXIT_PASS
 
 
@@ -249,25 +268,27 @@ def _build_gf(args) -> tuple[RationalGF, str]:
 
 def _cmd_gf(args) -> int:
     gf, variable = _build_gf(args)
-    if args.format == "text":
-        print(gf.render(variable))
-    else:
-        print(_json_document(args.family, args.k, args.q, args.J, gf=gf))
+    with _unlimited_int_digits():
+        if args.format == "text":
+            print(gf.render(variable))
+        else:
+            print(_json_document(args.family, args.k, args.q, args.J, gf=gf))
     return EXIT_PASS
 
 
 def _cmd_recur(args) -> int:
     gf, _ = _build_gf(args)
     rec = recurrence_from_gf(gf)
-    if args.format == "text":
-        symbol = args.family.lower()
-        line = f"order {rec.order}: {rec.render(symbol)}"
-        line += ", init " + ", ".join(str(t) for t in rec.initial_terms)
-        if rec.offset:
-            line += f", offset {rec.offset}"
-        print(line)
-    else:
-        print(_json_document(args.family, args.k, args.q, args.J, recurrence=rec))
+    with _unlimited_int_digits():
+        if args.format == "text":
+            symbol = args.family.lower()
+            line = f"order {rec.order}: {rec.render(symbol)}"
+            line += ", init " + ", ".join(str(t) for t in rec.initial_terms)
+            if rec.offset:
+                line += f", offset {rec.offset}"
+            print(line)
+        else:
+            print(_json_document(args.family, args.k, args.q, args.J, recurrence=rec))
     return EXIT_PASS
 
 

@@ -35,8 +35,9 @@ def binomial(top: Scalar, bottom: int) -> Scalar:
     Defined through the falling factorial: top(top-1)...(top-bottom+1)/bottom!.
     Total over rational and negative tops; bottom < 0 gives 0.  Integer tops
     go to math.comb, negative ones through the reflection
-    C(-n, k) = (-1)^k C(n+k-1, k); rational tops multiply out the falling
-    factorial over Fractions.
+    C(-n, k) = (-1)^k C(n+k-1, k).  A rational top p/d multiplies out the
+    integer falling-factorial product (p)(p-d)...(p-(bottom-1)d) over the one
+    denominator d^bottom * bottom!, and reduces once.
     """
     if bottom < 0:
         return 0
@@ -49,10 +50,9 @@ def binomial(top: Scalar, bottom: int) -> Scalar:
             return math.comb(top, bottom)
         reflected = math.comb(bottom - top - 1, bottom)
         return -reflected if bottom & 1 else reflected
-    product = Fraction(1)
-    for i in range(bottom):
-        product *= top - i
-    return normalize_scalar(product / factorial(bottom))
+    p, d = top.numerator, top.denominator
+    product = math.prod(range(p, p - bottom * d, -d))
+    return normalize_scalar(Fraction(product, d**bottom * math.factorial(bottom)))
 
 
 def pochhammer(a: Scalar, n: int) -> Scalar:

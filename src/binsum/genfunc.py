@@ -10,12 +10,14 @@ C(J, q; z) generates c(J, q; i) and is assembled from the geometric
 polynomials omega_n (power-sum numerators) weighted by signed Stirling
 numbers of the first kind.
 
-The module also reconstructs rational functions from series prefixes by an
-exact linear solve and reads off C-finite recurrences from denominators.
+The module also reconstructs rational functions from series prefixes, solving
+for the denominator by fraction-free (Bareiss) elimination over the integers,
+and reads off C-finite recurrences from denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,11 +44,12 @@ def B_gf(k: int, q: int) -> RationalGF:
                * sum_{i=0..j} (-1)^i C(j,i) C(j+k-1+q*i, q*i-1).
 
     The innermost binomial uses the total definition, so the i=0 term
-    (bottom -1) is zero.  All the steps share the denominator (1+qz)^(k+1),
-    so the numerator is accumulated over it by Horner in (1+qz),
-    N <- N*(1+qz) + T_step starting from N = 1, and the sum is put in
-    canonical form once.  The canonical denominator always divides
-    (1+qz)^(k+1).
+    (bottom -1) is zero.  The alternating sum over i depends on (k, j) only,
+    so each step computes it once per j and reuses it for every s.  All the
+    steps share the denominator (1+qz)^(k+1), so the numerator is
+    accumulated over it by Horner in (1+qz), N <- N*(1+qz) + T_step starting
+    from N = 1, and the sum is put in canonical form once.  The canonical
+    denominator always divides (1+qz)^(k+1).
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
@@ -54,16 +57,17 @@ def B_gf(k: int, q: int) -> RationalGF:
     base = Polynomial([1, q])
     numerator = Polynomial([1])
     for step in range(1, k + 1):
-        correction = []
-        for s in range(step + 1):
-            coefficient = 0
-            for j in range(s + 1):
-                inner = sum(
-                    (-1) ** i * binomial(j, i) * binomial(j + step - 1 + q * i, q * i - 1)
-                    for i in range(j + 1)
-                )
-                coefficient += binomial(step + 1, s - j) * q ** (s - j) * inner
-            correction.append(coefficient)
+        inner = [
+            sum(
+                (-1) ** i * binomial(j, i) * binomial(j + step - 1 + q * i, q * i - 1)
+                for i in range(j + 1)
+            )
+            for j in range(step + 1)
+        ]
+        correction = [
+            sum(binomial(step + 1, s - j) * q ** (s - j) * inner[j] for j in range(s + 1))
+            for s in range(step + 1)
+        ]
         numerator = numerator * base + Polynomial(correction)
     return RationalGF(numerator, base ** (k + 1))
 
@@ -193,36 +197,53 @@ def reconstruct_rational(
 
 
 def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Fraction] | None:
-    """Gaussian elimination over Fraction; consistent underdetermined systems
-    take zero for the free variables; inconsistent systems return None."""
-    m = len(rows)
+    """Solve rows * x = rhs exactly by fraction-free (Bareiss) elimination.
+
+    Each equation is scaled to integers by the lcm of its denominators, and
+    the elimination stays in int: updating a row below the pivot row to
+    pivot * row - row[col] * pivot_row, divided by the previous pivot, is an
+    exact division (Bareiss 1968, from Sylvester's identity), so no gcd is
+    taken.  A column with no pivot is skipped and its unknown is free.  Free
+    unknowns take zero and the pivot unknowns come from back substitution
+    over Fraction; an inconsistent system returns None.
+    """
+    aug = []
+    for row, b in zip(rows, rhs):
+        entries = [*row, b]
+        # unpack a list, not a generator: a tuple built from a generator is
+        # grown by realloc and so piles up in CPython's tuple free lists
+        scale = math.lcm(*[x.denominator for x in entries])
+        aug.append([x.numerator * (scale // x.denominator) for x in entries])
+    m = len(aug)
     n = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivot_cols = []
+    previous = 1
     r = 0
     for col in range(n):
         pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        pivot_row = aug[r]
+        p = pivot_row[col]
+        for i in range(r + 1, m):
+            row = aug[i]
+            a = row[col]
+            aug[i] = [(p * x - a * y) // previous for x, y in zip(row, pivot_row)]
+        previous = p
         pivot_cols.append(col)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    if any(aug[i][n] for i in range(r, m)):
+        return None
     solution = [Fraction(0)] * n
-    for row_index, col in enumerate(pivot_cols):
-        solution[col] = aug[row_index][n]
+    for row_index in reversed(range(r)):
+        row, col = aug[row_index], pivot_cols[row_index]
+        known = sum(row[j] * solution[j] for j in pivot_cols[row_index + 1 :])
+        solution[col] = Fraction(row[n] - known) / row[col]
     return solution
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from binsum import cli
 from binsum.cli import main
 from binsum.errors import SeriesPoleError
 from binsum.oeis import parse_bfile
+from binsum.sequences import c_direct
 
 
 def run(capsys, *argv):
@@ -72,6 +74,34 @@ class TestSeq:
         assert out == ""
         assert err.startswith("binsum: error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this build has no digit cap"
+    )
+    @pytest.mark.parametrize("fmt", ["bfile", "text", "json"])
+    def test_terms_past_the_int_digit_cap(self, capsys, fmt):
+        # c(7500, 7500; 1) has 4,514 digits, past CPython's default cap of
+        # 4,300 on int-to-str conversion
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(c_direct(7500, 7500, 1))
+        finally:
+            sys.set_int_max_str_digits(cap)
+        assert len(expected) == 4514
+        code, out, err = run(
+            capsys, "seq", "--family", "c", "--J", "7500", "--q", "7500",
+            "--n-max", "2", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "bfile":
+            assert out == f"0 1\n1 {expected}\n"
+        elif fmt == "text":
+            assert out == f"1 {expected}\n"
+        else:
+            assert json.loads(out)["terms"] == ["1", expected]
+        # the caller's cap is back once main returns
+        assert sys.get_int_max_str_digits() == cap
 
     def test_json_schema(self, capsys):
         code, out, _ = run(

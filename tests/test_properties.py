@@ -5,7 +5,7 @@ Hypothesis; the module is skipped when Hypothesis is not installed.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -14,6 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from binsum.combinatorics import binomial  # noqa: E402
+from binsum.errors import NoRationalFitError  # noqa: E402
 from binsum.genfunc import (  # noqa: E402
     binomial_transform_gf,
     reconstruct_rational,
@@ -63,12 +64,34 @@ def test_recurrence_regenerates_series(f, n):
 
 
 @SETTINGS
-@given(series_gf, st.integers(min_value=0, max_value=3))
-def test_reconstruct_recovers_function(f, spare):
+@given(
+    series_gf,
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+def test_reconstruct_recovers_function(f, spare, extra_num, extra_den):
+    # with degrees above the function's, the system is rank-deficient and the
+    # free unknowns are set to zero, yet the fit is the same function
+    num_degree = max(f.numerator.degree, 0) + extra_num
+    den_degree = f.denominator.degree + extra_den
+    series = f.series(num_degree + den_degree + 2 + spare)
+    assert reconstruct_rational(series, num_degree, den_degree) == f
+
+
+@SETTINGS
+@given(series_gf, st.integers(min_value=0, max_value=3), st.data())
+def test_reconstruct_rejects_a_changed_term(f, spare, data):
+    # the first num_degree + den_degree + 1 terms determine a fit of these
+    # degrees, so a change at any later index leaves nothing that fits
     num_degree = max(f.numerator.degree, 0)
     den_degree = f.denominator.degree
     series = f.series(num_degree + den_degree + 2 + spare)
-    assert reconstruct_rational(series, num_degree, den_degree) == f
+    first_free = num_degree + den_degree + 1
+    index = data.draw(st.integers(min_value=first_free, max_value=len(series) - 1))
+    series[index] += data.draw(coefficient.filter(lambda c: c != 0))
+    with pytest.raises(NoRationalFitError):
+        reconstruct_rational(series, num_degree, den_degree)
 
 
 @SETTINGS
@@ -118,3 +141,16 @@ def test_binomial_pascal(x, k):
 @given(rational_top, bottom)
 def test_binomial_reflection(x, k):
     assert binomial(x, k) == (-1) ** k * binomial(k - x - 1, k)
+
+
+@SETTINGS
+@given(rational_top, bottom)
+def test_binomial_is_the_falling_factorial(x, k):
+    literal = Fraction(1)
+    for i in range(k):
+        literal *= x - i
+    literal /= factorial(k)
+    value = binomial(x, k)
+    assert value == literal
+    # an int exactly when the value is integral, a Fraction otherwise
+    assert type(value) is (int if literal.denominator == 1 else Fraction)
