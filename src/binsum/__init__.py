@@ -25,7 +25,6 @@ from .errors import (
     NoRationalFitError,
     NonTerminatingSeriesError,
     NotAPowerSeriesError,
-    SeriesPoleError,
     TransportError,
     UnsupportedParameterError,
 )
@@ -45,7 +44,6 @@ from .hypergeometric import hyp_terminating, termination_order
 from .oeis import (
     OeisMapping,
     compare_terms,
-    compare_with_oeis,
     fetch_bfile,
     parse_bfile,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "OeisMapping",
     "Polynomial",
     "RationalGF",
-    "SeriesPoleError",
     "TransportError",
     "UnsupportedParameterError",
     "VerificationReport",
@@ -99,7 +96,6 @@ __all__ = [
     "binomial_transform_gf",
     "c_direct",
     "compare_terms",
-    "compare_with_oeis",
     "eulerian",
     "factorial",
     "fetch_bfile",

@@ -336,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"binsum: error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     # ValueError covers the parameter and fitting errors; ArithmeticError
-    # covers SeriesPoleError, ZeroDivisionError, ...
+    # covers ZeroDivisionError, ...
     except (_UsageError, ValueError, ArithmeticError) as exc:
         print(f"binsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

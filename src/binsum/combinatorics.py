@@ -65,19 +65,31 @@ def pochhammer(a: Scalar, n: int) -> Scalar:
     return normalize_scalar(result)
 
 
+# (u, v) of T(m, k) = u T(m-1, k) + v T(m-1, k-1), each triangle with T(0, 0) = 1
+_WEIGHTS = {
+    "stirling2": lambda m, k: (k, 1),
+    "stirling1_signed": lambda m, k: (1 - m, 1),
+    "eulerian": lambda m, k: (k + 1, m - k),
+}
+
+
 @lru_cache(maxsize=None)
+def _row(name: str, n: int) -> tuple[int, ...]:
+    """T(n, 0..n), built in a loop from row 0 so large n needs no recursion."""
+    weights, row = _WEIGHTS[name], [1]
+    for m in range(1, n + 1):
+        pairs = enumerate(zip(row + [0], [0] + row))
+        row = [u * a + v * b for k, (a, b) in pairs for u, v in [weights(m, k)]]
+    return tuple(row)
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of n elements into k blocks."""
     if n < 0:
         raise ValueError(f"stirling2 is undefined for negative n: {n}")
-    if n == 0 and k == 0:
-        return 1
-    if k <= 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _row("stirling2", n)[k] if 0 <= k <= n else 0
 
 
-@lru_cache(maxsize=None)
 def stirling1_signed(n: int, k: int) -> int:
     """Signed Stirling number of the first kind.
 
@@ -86,23 +98,14 @@ def stirling1_signed(n: int, k: int) -> int:
     """
     if n < 0:
         raise ValueError(f"stirling1_signed is undefined for negative n: {n}")
-    if n == 0 and k == 0:
-        return 1
-    if k <= 0 or k > n:
-        return 0
-    return stirling1_signed(n - 1, k - 1) - (n - 1) * stirling1_signed(n - 1, k)
+    return _row("stirling1_signed", n)[k] if 0 <= k <= n else 0
 
 
-@lru_cache(maxsize=None)
 def eulerian(n: int, k: int) -> int:
     """Eulerian number: permutations of n elements with k descents."""
     if n < 0:
         raise ValueError(f"eulerian is undefined for negative n: {n}")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k >= n:
-        return 0
-    return (k + 1) * eulerian(n - 1, k) + (n - k) * eulerian(n - 1, k - 1)
+    return _row("eulerian", n)[k] if 0 <= k <= n else 0
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

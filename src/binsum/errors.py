@@ -15,14 +15,6 @@ class NonTerminatingSeriesError(ValueError):
     """No numerator parameter truncates the hypergeometric series."""
 
 
-class SeriesPoleError(ArithmeticError):
-    """A denominator Pochhammer product vanished in strict evaluation mode."""
-
-    def __init__(self, term_index: int) -> None:
-        super().__init__(f"denominator Pochhammer product is zero at term {term_index}")
-        self.term_index = term_index
-
-
 class NotAPowerSeriesError(ValueError):
     """The denominator constant coefficient is zero, so no Taylor expansion at 0."""
 

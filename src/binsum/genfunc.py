@@ -25,7 +25,6 @@ from typing import Sequence
 from .combinatorics import (
     Scalar,
     binomial,
-    eulerian,
     factorial,
     stirling1_signed,
     stirling2,
@@ -106,19 +105,8 @@ def _omega_transformed(n: int) -> Polynomial:
 
 
 def power_sum_gf(n: int) -> RationalGF:
-    """Rational form of sum_{k>=0} k^n x^k.
-
-    Built by the omega substitution and cross-checked coefficientwise against
-    the Eulerian-number numerator; the two routes must coincide.
-    """
-    result = RationalGF(_omega_transformed(n), Polynomial([1, -1]) ** (n + 1))
-    if n == 0:
-        eulerian_numerator = Polynomial([1])
-    else:
-        eulerian_numerator = Polynomial([0] + [eulerian(n, j) for j in range(n)])
-    if result != RationalGF(eulerian_numerator, Polynomial([1, -1]) ** (n + 1)):
-        raise ArithmeticError(f"power-sum routes disagree at n={n}")
-    return result
+    """Rational form of sum_{k>=0} k^n x^k, built by the omega substitution."""
+    return RationalGF(_omega_transformed(n), Polynomial([1, -1]) ** (n + 1))
 
 
 def C_gf_stirling(J: int, q: int) -> RationalGF:

@@ -1,27 +1,28 @@
 """Terminating generalized hypergeometric series over exact rationals.
 
-A series pFq(a_1..a_p; b_1..b_q | z) terminates when some numerator parameter
+A series pFq(a_1..a_p; b_1..b_q | 1) terminates when some numerator parameter
 is a nonpositive integer.  The sum here runs through the largest order any
 such parameter imposes, so later parameters cannot silently truncate earlier
-nonzero terms.
+nonzero terms.  Every series the package evaluates is at unit argument.
 
 Terms are carried by their ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3):
 
-  t_i / t_(i-1) = z * prod(a + i - 1) / (i * prod(b + i - 1))
+  t_i / t_(i-1) = prod(a + i - 1) / (i * prod(b + i - 1))
 
 With every parameter written p/d, each factor a + i - 1 is the integer
-p + (i-1)*d over d, so the loop runs on integers only: the d's and z fold
-into one integer scale on each side, and the partial sums share one integer
+p + (i-1)*d over d, so the loop runs on integers only: the d's fold into one
+integer scale on each side, and the partial sums share one integer
 denominator until a single Fraction is built at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import Scalar, normalize_scalar
-from .errors import NonTerminatingSeriesError, SeriesPoleError
+from .errors import NonTerminatingSeriesError
 
 
 def termination_order(numerator_params: Sequence[Scalar]) -> int:
@@ -39,42 +40,31 @@ def termination_order(numerator_params: Sequence[Scalar]) -> int:
 
 
 def hyp_terminating(
-    numerator_params: Sequence[Scalar],
-    denominator_params: Sequence[Scalar],
-    argument: Scalar,
-    strict: bool = False,
+    numerator_params: Sequence[Scalar], denominator_params: Sequence[Scalar]
 ) -> Scalar:
-    """Sum the terminating series at `argument`.
+    """Sum the terminating series at unit argument.
 
-    By default a term whose denominator Pochhammer product vanishes
-    contributes zero (the 1/infinity convention for a pole sitting under a
-    finite numerator).  With strict=True such a term raises SeriesPoleError
-    instead, naming the term index.  The denominator is looked at first, so a
-    term whose numerator vanishes too still counts as a pole.
+    A term whose denominator Pochhammer product vanishes contributes zero
+    (the 1/infinity convention for a pole sitting under a finite numerator),
+    also when its numerator vanishes too.
 
     A nonpositive integer denominator parameter b makes (b)_i vanish for every
-    i >= 1 - b, so the first such index ends the sum (or is the one raised);
-    a vanishing numerator factor makes every later term zero.
+    i >= 1 - b, so the first such index ends the sum; a vanishing numerator
+    factor makes every later term zero.
     """
     order = termination_order(numerator_params)
     nums = [Fraction(a) for a in numerator_params]
     dens = [Fraction(b) for b in denominator_params]
-    z = Fraction(argument)
     pole = order + 1
     for b in dens:
         if b.denominator == 1 and b.numerator <= 0:
             pole = min(pole, 1 - b.numerator)
-    if strict and pole <= order:
-        raise SeriesPoleError(pole)
 
     # factor i of a = p/d is (p + (i-1)*d)/d = ((p-d) + i*d)/d
     num_steps = [(a.numerator - a.denominator, a.denominator) for a in nums]
     den_steps = [(b.numerator - b.denominator, b.denominator) for b in dens]
-    num_scale, den_scale = z.numerator, z.denominator
-    for b in dens:
-        num_scale *= b.denominator
-    for a in nums:
-        den_scale *= a.denominator
+    num_scale = math.prod(b.denominator for b in dens)
+    den_scale = math.prod(a.denominator for a in nums)
     # invariant: t_i = term / scale and the partial sum is total / scale
     term = total = scale = 1
     for i in range(1, min(order, pole - 1) + 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 import tempfile
 import urllib.error
 import urllib.request
@@ -31,12 +32,12 @@ __all__ = [
     "fetch_bfile",
     "validate_oeis_id",
     "compare_terms",
-    "compare_with_oeis",
     "mapping_for",
 ]
 
 _ID_PATTERN = re.compile(r"\AA\d{6,7}\Z")
 _BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
+_INT_FIELD = re.compile(r"[+-]?\d+")
 
 # agreeing terms a comparison needs before it counts as a match
 _MIN_OVERLAP = 20
@@ -70,10 +71,16 @@ def parse_bfile(text: str) -> dict[int, int]:
         try:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
-            raise BFileParseError(
-                f"line {line_number}: non-integer field in {raw!r}",
-                line_number=line_number,
-            ) from None
+            problem = f"non-integer field in {raw!r}"
+            if all(_INT_FIELD.fullmatch(field) for field in fields):
+                # well-formed, so int() refused a term for its length
+                digits = max(len(field.lstrip("+-")) for field in fields)
+                problem = (
+                    f"a {digits}-digit term exceeds this Python's int conversion limit of "
+                    f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits()); "
+                    "run with PYTHONINTMAXSTRDIGITS=0 to read it"
+                )
+            raise BFileParseError(f"line {line_number}: {problem}", line_number) from None
         if index in terms:
             raise BFileParseError(
                 f"line {line_number}: duplicate index {index}",
@@ -81,6 +88,14 @@ def parse_bfile(text: str) -> dict[int, int]:
             )
         terms[index] = value
     return terms
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise BFileParseError(f"line {line_number}: not UTF-8 text", line_number) from None
 
 
 def cache_path(oeis_id: str, cache_dir: Optional[str] = None) -> Path:
@@ -116,14 +131,15 @@ def fetch_bfile(
     Offline mode reads the cache, then the bundled fixture; a miss on both
     raises FixtureMissingError.  Online mode fetches from oeis.org and
     writes the cache atomically; network failure raises TransportError.
-    A cache file that does not parse raises BFileParseError naming the file.
+    A cache file that does not parse, or is not UTF-8, raises BFileParseError
+    naming the file; so does a fetched file, which is then not cached.
     """
     validate_oeis_id(oeis_id)
     path = cache_path(oeis_id, cache_dir)
 
     if path.is_file():
         try:
-            terms = parse_bfile(path.read_text())
+            terms = parse_bfile(_decode(path.read_bytes()))
         except BFileParseError as exc:
             raise BFileParseError(
                 f"corrupt cache file {path}: {exc}; delete it to re-fetch",
@@ -136,15 +152,15 @@ def fetch_bfile(
         url = _BFILE_URL.format(id=oeis_id, digits=digits)
         try:
             with urllib.request.urlopen(url, timeout=timeout) as response:
-                text = response.read().decode("utf-8")
+                data = response.read()
         except (urllib.error.URLError, OSError, TimeoutError) as exc:
             raise TransportError(f"could not fetch {url}: {exc}") from exc
-        terms = parse_bfile(text)  # validate before caching
+        terms = parse_bfile(_decode(data))  # validate before caching
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_name, path)
         except OSError:
             os.unlink(tmp_name)
@@ -220,21 +236,6 @@ def compare_terms(
             return ComparisonResult(oeis_id, pinned_shift, overlap, False, (i, ours, theirs))
         overlap += 1
     return ComparisonResult(oeis_id, pinned_shift, overlap, overlap >= _MIN_OVERLAP, None)
-
-
-def compare_with_oeis(
-    mapping: OeisMapping,
-    computed: Sequence[int],
-    *,
-    offline: bool = False,
-    cache_dir: Optional[str] = None,
-) -> ComparisonResult:
-    """Check computed terms against the mapping's OEIS entry at the
-    mapping's pinned offset_shift."""
-    pairs = fetch_bfile(mapping.oeis_id, offline=offline, cache_dir=cache_dir)
-    return compare_terms(
-        computed, dict(pairs), mapping.oeis_id, pinned_shift=mapping.offset_shift
-    )
 
 
 def mapping_for(oeis_id: str) -> Optional[OeisMapping]:

@@ -119,12 +119,13 @@ def c_direct(J: int, q: int, i: int) -> int:
     return binomial(J + q * i, J)
 
 
-def a_hypergeom(k: int, q: int, m: int, strict: bool = False) -> Scalar:
+def a_hypergeom(k: int, q: int, m: int) -> Scalar:
     """a(k, q; m) through its terminating (q+2)F(q+1) form; integer q only.
 
     The front factor is C(m(q+1)+k, k+m); the series parameters are
-    -m and 1-(l+1-m)/(q+1)-m over 1-(k+1+l)/(q+1)-m for l = 0..q, evaluated
-    at unit argument with the zero-denominator convention of hyp_terminating.
+    -m and 1-(l+1-m)/(q+1)-m over 1-(k+1+l)/(q+1)-m for l = 0..q, at unit
+    argument.  The series terminates at term m, and a denominator parameter b
+    first vanishes at term 1-b = m+(k+1+l)/(q+1) > m, so no pole is reached.
     """
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
@@ -133,12 +134,10 @@ def a_hypergeom(k: int, q: int, m: int, strict: bool = False) -> Scalar:
     numerator_params = [Fraction(-m)]
     numerator_params += [1 - Fraction(l + 1 - m, q + 1) - m for l in range(q + 1)]
     denominator_params = [1 - Fraction(k + 1 + l, q + 1) - m for l in range(q + 1)]
-    return normalize_scalar(
-        front * hyp_terminating(numerator_params, denominator_params, 1, strict=strict)
-    )
+    return normalize_scalar(front * hyp_terminating(numerator_params, denominator_params))
 
 
-def b_hypergeom(k: int, q: int, j: int, strict: bool = False) -> Scalar:
+def b_hypergeom(k: int, q: int, j: int) -> Scalar:
     """b(k, q; j) through its terminating (q+1)Fq form; integer q >= 1 only.
 
     Parameters are -j and (k+j+l)/q for l = 1..q over l/q for l = 1..q, at
@@ -153,9 +152,7 @@ def b_hypergeom(k: int, q: int, j: int, strict: bool = False) -> Scalar:
         )
     numerator_params = [Fraction(-j)] + [Fraction(k + j + l, q) for l in range(1, q + 1)]
     denominator_params = [Fraction(l, q) for l in range(1, q + 1)]
-    return normalize_scalar(
-        hyp_terminating(numerator_params, denominator_params, 1, strict=strict)
-    )
+    return normalize_scalar(hyp_terminating(numerator_params, denominator_params))
 
 
 def zero_sum_identity(j: int, q: int) -> int:

@@ -138,8 +138,8 @@ class VerificationReport:
             "cases": [case.to_dict() for case in self.cases],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _cases(
@@ -623,7 +623,8 @@ def compare_pinned(
     """Compare a(k, q; m) for m < PINNED_TERMS against the mapping's OEIS entry."""
     k, q = mapping.params
     computed = [as_integer(a_single_sum(k, q, m)) for m in range(PINNED_TERMS)]
-    return oeis_mod.compare_with_oeis(mapping, computed, offline=offline, cache_dir=cache_dir)
+    pairs = oeis_mod.fetch_bfile(mapping.oeis_id, offline=offline, cache_dir=cache_dir)
+    return oeis_mod.compare_terms(computed, dict(pairs), mapping.oeis_id, pinned_shift=mapping.offset_shift)
 
 
 def _check_sequence(mapping, offline: bool, cache_dir: Optional[str]) -> Optional[str]:

@@ -8,7 +8,6 @@ import pytest
 
 from binsum import cli
 from binsum.cli import main
-from binsum.errors import SeriesPoleError
 from binsum.oeis import parse_bfile
 from binsum.sequences import c_direct
 
@@ -138,9 +137,7 @@ class TestSeq:
             assert out == ""
             assert err == f"binsum: error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "error", [SeriesPoleError(3), ZeroDivisionError("division by zero")]
-    )
+    @pytest.mark.parametrize("error", [ZeroDivisionError("division by zero")])
     def test_arithmetic_error_is_one_line(self, capsys, monkeypatch, error):
         def failing(k, q, j):
             raise error
@@ -361,6 +358,17 @@ class TestOeis:
         assert err == (
             f"binsum: error: corrupt cache file {tmp_path / 'b027471.txt'}: line 1: "
             "non-integer field in 'garbage line'; delete it to re-fetch\n"
+        )
+
+    def test_non_utf8_cache_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+        (tmp_path / "b027471.txt").write_bytes(b"\xff\xfe0 1\n")
+        code, out, err = run(capsys, "oeis", "--id", "A027471", "--offline")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"binsum: error: corrupt cache file {tmp_path / 'b027471.txt'}: line 1: "
+            "not UTF-8 text; delete it to re-fetch\n"
         )
 
     def test_compare_non_integral_term(self, capsys, monkeypatch, tmp_path):

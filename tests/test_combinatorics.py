@@ -160,6 +160,14 @@ class TestStirling2:
             for k in range(n + 1):
                 assert stirling2(n, k) == count_set_partitions(n, k)
 
+    def test_explicit_formula_at_large_n(self):
+        # k! S2(n, k) = sum_j (-1)^(k-j) C(k, j) j^n, at an n past the
+        # interpreter's default recursion limit
+        n = 1000
+        for k in (1, 2, 3, 250, 500, 999, 1000):
+            explicit = sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1))
+            assert stirling2(n, k) * math.factorial(k) == explicit, k
+
     def test_out_of_range(self):
         assert stirling2(5, -1) == 0
         assert stirling2(5, 6) == 0
@@ -195,6 +203,10 @@ class TestStirling1Signed:
                 total = sum(stirling1_signed(n, j) * stirling2(j, k) for j in range(n + 1))
                 assert total == (1 if n == k else 0)
 
+    def test_unsigned_row_sum_at_large_n(self):
+        n = 1000
+        assert sum(abs(stirling1_signed(n, k)) for k in range(n + 1)) == math.factorial(n)
+
     def test_out_of_range(self):
         assert stirling1_signed(4, -1) == 0
         assert stirling1_signed(4, 5) == 0
@@ -219,6 +231,10 @@ class TestEulerian:
     def test_row_sums(self):
         for n in range(1, 11):
             assert sum(eulerian(n, k) for k in range(n)) == math.factorial(n)
+
+    def test_row_sum_at_large_n(self):
+        n = 1000
+        assert sum(eulerian(n, k) for k in range(n)) == math.factorial(n)
 
     def test_out_of_range(self):
         assert eulerian(3, 3) == 0

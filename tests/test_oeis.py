@@ -1,6 +1,7 @@
 """b-file parsing, fixture/cache resolution, and term comparison."""
 
 import io
+import sys
 import urllib.error
 
 import pytest
@@ -10,13 +11,22 @@ from binsum.oeis import (
     PINNED_MAPPINGS,
     cache_path,
     compare_terms,
-    compare_with_oeis,
     fetch_bfile,
     mapping_for,
     parse_bfile,
     validate_oeis_id,
 )
-from binsum.sequences import a_single_sum
+from binsum.verify import compare_pinned
+
+
+class FakeResponse(io.BytesIO):
+    """Stands in for the context manager urlopen returns."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
 
 class TestParseBfile:
@@ -44,6 +54,25 @@ class TestParseBfile:
         with pytest.raises(BFileParseError) as info:
             parse_bfile("0 1\n0 2\n")
         assert info.value.line_number == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int conversion digit limit"
+    )
+    def test_term_past_the_int_digit_limit(self):
+        # binsum seq --family c --J 7500 --q 7500 writes a 4,514-digit term
+        caller_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(BFileParseError) as info:
+                parse_bfile("0 1\n1 " + "18" * 2257 + "\n")
+        finally:
+            sys.set_int_max_str_digits(caller_limit)
+        assert info.value.line_number == 2
+        assert str(info.value) == (
+            "line 2: a 4514-digit term exceeds this Python's int conversion limit of "
+            "4300 digits (sys.get_int_max_str_digits()); run with "
+            "PYTHONINTMAXSTRDIGITS=0 to read it"
+        )
 
 
 class TestIdValidation:
@@ -110,6 +139,17 @@ class TestFetch:
             (2, 1),
         ]
 
+    def test_non_utf8_cache_names_the_file(self, tmp_path):
+        path = tmp_path / "b027471.txt"
+        path.write_bytes(b"0 1\n\xff\xfe0 1\n")
+        with pytest.raises(BFileParseError) as info:
+            fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+        assert str(info.value) == (
+            f"corrupt cache file {path}: line 2: not UTF-8 text; "
+            "delete it to re-fetch"
+        )
+        assert info.value.line_number == 2
+
     def test_malformed_id(self):
         with pytest.raises(ValueError):
             fetch_bfile("X123")
@@ -125,13 +165,6 @@ class TestFetch:
     def test_online_fetch_writes_cache(self, tmp_path, monkeypatch):
         payload = b"# header\n0 7\n1 9\n"
 
-        class FakeResponse(io.BytesIO):
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
         monkeypatch.setattr(
             "urllib.request.urlopen", lambda url, timeout: FakeResponse(payload)
         )
@@ -143,13 +176,6 @@ class TestFetch:
         assert fetch_bfile("A999999", cache_dir=str(tmp_path)) == [(0, 7), (1, 9)]
 
     def test_malformed_remote_not_cached(self, tmp_path, monkeypatch):
-        class FakeResponse(io.BytesIO):
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
         monkeypatch.setattr(
             "urllib.request.urlopen",
             lambda url, timeout: FakeResponse(b"0 1\nbroken line here\n"),
@@ -157,6 +183,15 @@ class TestFetch:
         with pytest.raises(BFileParseError):
             fetch_bfile("A999998", cache_dir=str(tmp_path))
         assert not (tmp_path / "b999998.txt").exists()
+
+    def test_non_utf8_remote_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda url, timeout: FakeResponse(b"\xff")
+        )
+        with pytest.raises(BFileParseError) as info:
+            fetch_bfile("A999997", cache_dir=str(tmp_path))
+        assert str(info.value) == "line 1: not UTF-8 text"
+        assert not (tmp_path / "b999997.txt").exists()
 
 
 class TestCompareTerms:
@@ -204,19 +239,13 @@ class TestMappings:
 
     def test_compare_with_oeis_offline(self, tmp_path):
         mapping = mapping_for("A361609")
-        computed = [int(a_single_sum(2, 3, m)) for m in range(30)]
-        result = compare_with_oeis(
-            mapping, computed, offline=True, cache_dir=str(tmp_path)
-        )
+        result = compare_pinned(mapping, offline=True, cache_dir=str(tmp_path))
         assert result.matched
         assert result.shift == 0
         assert result.overlap >= 20
 
     def test_shifted_mapping_offline(self, tmp_path):
         mapping = mapping_for("A027471")
-        computed = [int(a_single_sum(1, 2, m)) for m in range(30)]
-        result = compare_with_oeis(
-            mapping, computed, offline=True, cache_dir=str(tmp_path)
-        )
+        result = compare_pinned(mapping, offline=True, cache_dir=str(tmp_path))
         assert result.matched
         assert result.shift == 2
