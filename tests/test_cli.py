@@ -137,7 +137,10 @@ class TestSeq:
             assert out == ""
             assert err == f"binsum: error: {message}\n"
 
-    @pytest.mark.parametrize("error", [ZeroDivisionError("division by zero")])
+    @pytest.mark.parametrize(
+        "error",
+        [ArithmeticError("pole at index 3"), ZeroDivisionError("division by zero")],
+    )
     def test_arithmetic_error_is_one_line(self, capsys, monkeypatch, error):
         def failing(k, q, j):
             raise error
