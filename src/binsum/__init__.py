@@ -39,6 +39,7 @@ from .genfunc import (
     power_sum_gf,
     reconstruct_rational,
     recurrence_from_gf,
+    recurrence_terms,
 )
 from .hypergeometric import hyp_terminating, termination_order
 from .oeis import (
@@ -109,6 +110,7 @@ __all__ = [
     "power_via_stirling",
     "reconstruct_rational",
     "recurrence_from_gf",
+    "recurrence_terms",
     "run_suite",
     "stirling1_signed",
     "stirling2",

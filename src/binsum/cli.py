@@ -17,11 +17,19 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from . import oeis as oeis_mod
 from .errors import BFileParseError, FixtureMissingError, TransportError
-from .genfunc import A_gf, B_gf, C_gf_stirling, reconstruct_rational, recurrence_from_gf
+from .genfunc import (
+    A_gf,
+    B_gf,
+    C_gf_stirling,
+    reconstruct_rational,
+    recurrence_from_gf,
+    recurrence_terms,
+)
 from .polynomials import RationalGF
 from .sequences import (
     a_double_sum,
@@ -98,9 +106,9 @@ def build_parser() -> _Parser:
     )
     seq.add_argument(
         "--via",
-        choices=("direct", "single", "series"),
-        default="direct",
-        help="evaluation route; series needs integer q",
+        choices=("direct", "single", "series", "recurrence"),
+        help="evaluation route; series and recurrence need integer q (default: "
+        "recurrence for families a and b at integer q, else direct)",
     )
 
     gf.add_argument(
@@ -205,21 +213,29 @@ def _family_params(args) -> tuple:
 def _seq_values(args) -> list:
     family = args.family
     k_or_J, q = _family_params(args)
+    via = args.via
+    if via is None:
+        via = "recurrence" if family != "c" and isinstance(q, int) else "direct"
+
+    def termwise(evaluate):
+        return lambda k_or_J, q, count: [evaluate(k_or_J, q, n) for n in range(count)]
+
     # built per call, so the evaluators are the ones the module holds now
     routes = {
-        ("a", "direct"): a_double_sum,
-        ("a", "single"): a_single_sum,
-        ("a", "series"): a_hypergeom,
-        ("b", "direct"): b_direct,
-        ("b", "series"): b_hypergeom,
-        ("c", "direct"): c_direct,
+        ("a", "direct"): termwise(a_double_sum),
+        ("a", "single"): termwise(a_single_sum),
+        ("a", "series"): termwise(a_hypergeom),
+        ("a", "recurrence"): partial(recurrence_terms, "a"),
+        ("b", "direct"): termwise(b_direct),
+        ("b", "series"): termwise(b_hypergeom),
+        ("b", "recurrence"): partial(recurrence_terms, "b"),
+        ("c", "direct"): termwise(c_direct),
     }
-    if (family, args.via) not in routes:
-        vias = [via for f, via in routes if f == family]
+    if (family, via) not in routes:
+        vias = [route for f, route in routes if f == family]
         only = "only " if len(vias) == 1 else ""
         raise _UsageError(f"family {family} supports {only}--via {' or '.join(vias)}")
-    evaluate = routes[family, args.via]
-    return [evaluate(k_or_J, q, n) for n in range(args.n_max)]
+    return routes[family, via](k_or_J, q, args.n_max)
 
 
 def _cmd_seq(args) -> int:

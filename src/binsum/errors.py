@@ -28,11 +28,16 @@ class NeedsMoreTermsError(ValueError):
 
 
 class BFileParseError(ValueError):
-    """A b-file line is not `index value`."""
+    """A b-file line is not `index value`.
 
-    def __init__(self, message: str, line_number: int) -> None:
+    refetch_helps is False when the file is well formed and a fresh copy
+    would fail the same way: a term past the int conversion limit.
+    """
+
+    def __init__(self, message: str, line_number: int, refetch_helps: bool = True) -> None:
         super().__init__(message)
         self.line_number = line_number
+        self.refetch_helps = refetch_helps
 
 
 class FixtureMissingError(FileNotFoundError):

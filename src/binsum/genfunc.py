@@ -31,7 +31,7 @@ from .combinatorics import (
 )
 from .errors import NeedsMoreTermsError, NoRationalFitError, NotAPowerSeriesError
 from .polynomials import Polynomial, RationalGF, render_terms, substitute_cleared
-from .sequences import _require_integer_q
+from .sequences import _check_nonnegative, _require_integer_q, a_single_sum, b_direct
 
 
 def B_gf(k: int, q: int) -> RationalGF:
@@ -264,6 +264,31 @@ class CFiniteRecurrence:
             (c, f"{symbol}(n-{i})") for i, c in enumerate(self.coefficients, start=1)
         )
         return f"{symbol}(n) = {summed}"
+
+
+def recurrence_terms(family: str, k: int, q: int, n: int) -> list[int]:
+    """First n terms of a(k, q; .) (family "a") or b(k, q; .) (family "b")
+    for integer q >= 0, unrolled from the closed-form annihilator.
+
+    B_gf's Horner build leaves a numerator N of degree <= k over
+    (1+qz)^(k+1), and the binomial transform turns that into
+    (1-z)^k N(-z/(1-z)) over (1-(q+1)z)^(k+1), again of degree <= k.  So
+    both sequences have a generating function P(z)/(1 - r z)^(k+1) with
+    deg P < k+1, where r = q+1 for a and r = -q for b, and
+    (1 - r E^-1)^(k+1) annihilates them from index k+1 on, for every q >= 0
+    (at q = 0, b is a polynomial and r = 0 makes every later term zero).
+    The first k+1 terms come from a_single_sum or b_direct; each later one
+    is sum_{i=1..k+1} -C(k+1, i) (-r)^i s(n-i), k+1 integer multiply-adds,
+    with no Polynomial or RationalGF built.
+    """
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _require_integer_q(q, "the recurrence route")
+    seed, r = {"a": (a_single_sum, q + 1), "b": (b_direct, -q)}[family]
+    order = k + 1
+    coefficients = tuple(-math.comb(order, i) * (-r) ** i for i in range(1, order + 1))
+    initial = tuple(seed(k, q, m) for m in range(min(n, order)))
+    return CFiniteRecurrence(order, coefficients, initial, 0).terms(n)
 
 
 def recurrence_from_gf(f: RationalGF) -> CFiniteRecurrence:

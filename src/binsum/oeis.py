@@ -72,6 +72,7 @@ def parse_bfile(text: str) -> dict[int, int]:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
             problem = f"non-integer field in {raw!r}"
+            refetch_helps = True
             if all(_INT_FIELD.fullmatch(field) for field in fields):
                 # well-formed, so int() refused a term for its length
                 digits = max(len(field.lstrip("+-")) for field in fields)
@@ -80,7 +81,10 @@ def parse_bfile(text: str) -> dict[int, int]:
                     f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits()); "
                     "run with PYTHONINTMAXSTRDIGITS=0 to read it"
                 )
-            raise BFileParseError(f"line {line_number}: {problem}", line_number) from None
+                refetch_helps = False
+            raise BFileParseError(
+                f"line {line_number}: {problem}", line_number, refetch_helps
+            ) from None
         if index in terms:
             raise BFileParseError(
                 f"line {line_number}: duplicate index {index}",
@@ -132,7 +136,9 @@ def fetch_bfile(
     raises FixtureMissingError.  Online mode fetches from oeis.org and
     writes the cache atomically; network failure raises TransportError.
     A cache file that does not parse, or is not UTF-8, raises BFileParseError
-    naming the file; so does a fetched file, which is then not cached.
+    naming the file and, unless a re-fetch would bring the same failure back,
+    saying to delete it; a fetched file that does not parse raises it too and
+    is not cached.
     """
     validate_oeis_id(oeis_id)
     path = cache_path(oeis_id, cache_dir)
@@ -141,9 +147,11 @@ def fetch_bfile(
         try:
             terms = parse_bfile(_decode(path.read_bytes()))
         except BFileParseError as exc:
+            hint = "; delete it to re-fetch" if exc.refetch_helps else ""
             raise BFileParseError(
-                f"corrupt cache file {path}: {exc}; delete it to re-fetch",
+                f"corrupt cache file {path}: {exc}{hint}",
                 line_number=exc.line_number,
+                refetch_helps=exc.refetch_helps,
             ) from exc
     elif offline:
         terms = parse_bfile(_fixture_text(oeis_id))

@@ -117,10 +117,57 @@ class TestSeq:
 
     def test_routes_agree(self, capsys):
         args = ["seq", "--family", "a", "--k", "2", "--q", "2", "--n-max", "8"]
-        _, direct, _ = run(capsys, *args)
+        _, direct, _ = run(capsys, *args, "--via", "direct")
         _, single, _ = run(capsys, *args, "--via", "single")
         _, series, _ = run(capsys, *args, "--via", "series")
-        assert direct == single == series
+        _, recurrence, _ = run(capsys, *args, "--via", "recurrence")
+        assert direct == single == series == recurrence
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json", "bfile"])
+    def test_default_route_prints_the_defining_sums(self, capsys, fmt):
+        # the default is the recurrence route at integer q and the direct
+        # route at q = 1/2; either way the bytes are those of --via direct
+        for family in "ab":
+            for k in range(7):
+                for q in ["0", "1", "2", "3", "4", "5", "1/2"]:
+                    args = ["seq", "--family", family, "--k", str(k), "--q", q,
+                            "--format", fmt]
+                    default = run(capsys, *args)
+                    assert default == run(capsys, *args, "--via", "direct")
+                    assert default[0] == (2 if q == "1/2" and fmt == "bfile" else 0)
+
+    def test_default_route_by_q(self, capsys, monkeypatch):
+        def failing(k, q, n):
+            raise ArithmeticError("direct route called")
+
+        monkeypatch.setattr(cli, "a_double_sum", failing)
+        monkeypatch.setattr(cli, "b_direct", failing)
+        for family in "ab":
+            args = ("seq", "--family", family, "--k", "2", "--n-max", "5")
+            assert run(capsys, *args, "--q", "3")[0] == 0
+            assert run(capsys, *args, "--q", "1/2") == (
+                2, "", "binsum: error: direct route called\n"
+            )
+
+    def test_recurrence_route_needs_integer_q(self, capsys):
+        code, out, err = run(
+            capsys, "seq", "--family", "b", "--k", "1", "--q", "1/2",
+            "--via", "recurrence",
+        )
+        assert (code, out) == (2, "")
+        assert err == "binsum: error: the recurrence route requires integer q, got 1/2\n"
+
+    def test_large_q_b_file_is_linear(self, capsys):
+        # b(0, q; j) = (-q)^j; the defining sum takes minutes for this file
+        code, out, err = run(
+            capsys, "seq", "--family", "b", "--k", "0", "--q", "100000",
+            "--n-max", "900", "--format", "bfile",
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 900
+        # (-100000)^899 = -10^4495, past the 4,300-digit cap
+        assert lines[-1] == "899 -1" + "0" * 4495
 
     def test_series_route_needs_integer_q(self, capsys):
         # the message names the route the user picked, not an internal function
@@ -172,7 +219,7 @@ class TestSeq:
             capsys, "seq", "--family", "b", "--k", "1", "--q", "2", "--via", "single"
         )
         assert code == 2
-        assert err == "binsum: error: family b supports --via direct or series\n"
+        assert err == "binsum: error: family b supports --via direct or series or recurrence\n"
         code, _, err = run(
             capsys, "seq", "--family", "c", "--J", "1", "--q", "2", "--via", "series"
         )

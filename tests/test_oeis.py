@@ -150,6 +150,27 @@ class TestFetch:
         )
         assert info.value.line_number == 2
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int conversion digit limit"
+    )
+    def test_long_term_cache_does_not_say_re_fetch(self, tmp_path):
+        # the file is well formed: a fresh copy would bring the same term back
+        path = tmp_path / "b027471.txt"
+        path.write_text("0 1\n1 " + "18" * 2257 + "\n")
+        caller_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(BFileParseError) as info:
+                fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+        finally:
+            sys.set_int_max_str_digits(caller_limit)
+        assert str(info.value) == (
+            f"corrupt cache file {path}: line 2: a 4514-digit term exceeds this "
+            "Python's int conversion limit of 4300 digits "
+            "(sys.get_int_max_str_digits()); run with PYTHONINTMAXSTRDIGITS=0 to read it"
+        )
+        assert info.value.line_number == 2
+
     def test_malformed_id(self):
         with pytest.raises(ValueError):
             fetch_bfile("X123")

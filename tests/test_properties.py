@@ -1,7 +1,7 @@
 """Algebraic invariants of RationalGF and the genfunc operators, as properties.
 
-Random small rational functions and rational binomial tops come from
-Hypothesis; the module is skipped when Hypothesis is not installed.
+Random small rational functions, rational binomial tops and family
+parameters come from Hypothesis; the module is skipped when Hypothesis is not installed.
 """
 
 from fractions import Fraction
@@ -19,8 +19,10 @@ from binsum.genfunc import (  # noqa: E402
     binomial_transform_gf,
     reconstruct_rational,
     recurrence_from_gf,
+    recurrence_terms,
 )
 from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
+from binsum.sequences import a_double_sum, a_single_sum, b_direct  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -154,3 +156,32 @@ def test_binomial_is_the_falling_factorial(x, k):
     assert value == literal
     # an int exactly when the value is integral, a Fraction otherwise
     assert type(value) is (int if literal.denominator == 1 else Fraction)
+
+
+# The recurrence route against the defining sums.  The sums at m near 300
+# cost milliseconds each, so each example checks a few drawn indices there
+# and the last one; the short request covers n_max below the order k+1.
+family_k = st.integers(min_value=0, max_value=12)
+family_q = st.integers(min_value=0, max_value=8)
+short_n = st.integers(min_value=0, max_value=14)
+far_indices = st.lists(st.integers(min_value=26, max_value=299), max_size=3)
+
+
+@SETTINGS
+@given(family_k, family_q, short_n, far_indices)
+def test_recurrence_route_for_a(k, q, n, far):
+    terms = recurrence_terms("a", k, q, 300)
+    assert recurrence_terms("a", k, q, n) == terms[:n]
+    assert terms[:26] == [a_double_sum(k, q, m) for m in range(26)]
+    for m in far + [299]:
+        assert terms[m] == a_single_sum(k, q, m)
+
+
+@SETTINGS
+@given(family_k, family_q, short_n, far_indices)
+def test_recurrence_route_for_b(k, q, n, far):
+    terms = recurrence_terms("b", k, q, 300)
+    assert recurrence_terms("b", k, q, n) == terms[:n]
+    assert terms[:26] == [b_direct(k, q, j) for j in range(26)]
+    for j in far + [299]:
+        assert terms[j] == b_direct(k, q, j)
