@@ -17,7 +17,6 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence
 
 from . import oeis as oeis_mod
@@ -106,8 +105,8 @@ def build_parser() -> _Parser:
     )
     seq.add_argument(
         "--via",
-        choices=("direct", "single", "series", "recurrence"),
-        help="evaluation route; series and recurrence need integer q (default: "
+        choices=("direct", "single", "series"),
+        help="evaluation route; series needs integer q (default: a C-finite "
         "recurrence for families a and b at integer q, else direct)",
     )
 
@@ -213,29 +212,25 @@ def _family_params(args) -> tuple:
 def _seq_values(args) -> list:
     family = args.family
     k_or_J, q = _family_params(args)
-    via = args.via
-    if via is None:
-        via = "recurrence" if family != "c" and isinstance(q, int) else "direct"
-
-    def termwise(evaluate):
-        return lambda k_or_J, q, count: [evaluate(k_or_J, q, n) for n in range(count)]
-
+    if args.via is None and family != "c" and isinstance(q, int):
+        # C-finite at integer q: k+1 seed terms, then the recurrence
+        return recurrence_terms(family, k_or_J, q, args.n_max)
+    via = args.via or "direct"
     # built per call, so the evaluators are the ones the module holds now
     routes = {
-        ("a", "direct"): termwise(a_double_sum),
-        ("a", "single"): termwise(a_single_sum),
-        ("a", "series"): termwise(a_hypergeom),
-        ("a", "recurrence"): partial(recurrence_terms, "a"),
-        ("b", "direct"): termwise(b_direct),
-        ("b", "series"): termwise(b_hypergeom),
-        ("b", "recurrence"): partial(recurrence_terms, "b"),
-        ("c", "direct"): termwise(c_direct),
+        ("a", "direct"): a_double_sum,
+        ("a", "single"): a_single_sum,
+        ("a", "series"): a_hypergeom,
+        ("b", "direct"): b_direct,
+        ("b", "series"): b_hypergeom,
+        ("c", "direct"): c_direct,
     }
     if (family, via) not in routes:
         vias = [route for f, route in routes if f == family]
         only = "only " if len(vias) == 1 else ""
         raise _UsageError(f"family {family} supports {only}--via {' or '.join(vias)}")
-    return routes[family, via](k_or_J, q, args.n_max)
+    evaluate = routes[family, via]
+    return [evaluate(k_or_J, q, n) for n in range(args.n_max)]
 
 
 def _cmd_seq(args) -> int:

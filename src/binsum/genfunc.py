@@ -279,16 +279,20 @@ def recurrence_terms(family: str, k: int, q: int, n: int) -> list[int]:
     (at q = 0, b is a polynomial and r = 0 makes every later term zero).
     The first k+1 terms come from a_single_sum or b_direct; each later one
     is sum_{i=1..k+1} -C(k+1, i) (-r)^i s(n-i), k+1 integer multiply-adds,
-    with no Polynomial or RationalGF built.
+    with no Polynomial or RationalGF built.  When n <= k+1 the seeds are
+    the answer and the coefficients, up to k+1 ints of O(k log(k r)) bits,
+    are not built.
     """
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
-    q = _require_integer_q(q, "the recurrence route")
+    q = _require_integer_q(q, "recurrence_terms")
     seed, r = {"a": (a_single_sum, q + 1), "b": (b_direct, -q)}[family]
     order = k + 1
+    initial = [seed(k, q, m) for m in range(min(n, order))]
+    if n <= order:
+        return initial
     coefficients = tuple(-math.comb(order, i) * (-r) ** i for i in range(1, order + 1))
-    initial = tuple(seed(k, q, m) for m in range(min(n, order)))
-    return CFiniteRecurrence(order, coefficients, initial, 0).terms(n)
+    return CFiniteRecurrence(order, coefficients, tuple(initial), 0).terms(n)
 
 
 def recurrence_from_gf(f: RationalGF) -> CFiniteRecurrence:

@@ -3,10 +3,11 @@
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from binsum import cli
+from binsum import cli, genfunc
 from binsum.cli import main
 from binsum.oeis import parse_bfile
 from binsum.sequences import c_direct
@@ -117,11 +118,11 @@ class TestSeq:
 
     def test_routes_agree(self, capsys):
         args = ["seq", "--family", "a", "--k", "2", "--q", "2", "--n-max", "8"]
+        _, default, _ = run(capsys, *args)
         _, direct, _ = run(capsys, *args, "--via", "direct")
         _, single, _ = run(capsys, *args, "--via", "single")
         _, series, _ = run(capsys, *args, "--via", "series")
-        _, recurrence, _ = run(capsys, *args, "--via", "recurrence")
-        assert direct == single == series == recurrence
+        assert default == direct == single == series
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json", "bfile"])
     def test_default_route_prints_the_defining_sums(self, capsys, fmt):
@@ -149,13 +150,19 @@ class TestSeq:
                 2, "", "binsum: error: direct route called\n"
             )
 
-    def test_recurrence_route_needs_integer_q(self, capsys):
-        code, out, err = run(
-            capsys, "seq", "--family", "b", "--k", "1", "--q", "1/2",
-            "--via", "recurrence",
-        )
-        assert (code, out) == (2, "")
-        assert err == "binsum: error: the recurrence route requires integer q, got 1/2\n"
+    def test_default_route_at_large_k_builds_no_recurrence(self, capsys, monkeypatch):
+        # with n_max <= k+1 the seed terms are the whole answer; the k+1
+        # coefficients of the annihilator, of up to ~30,000 bits each at
+        # this k, would take seconds for the same sixteen terms
+        def failing(*args):
+            raise AssertionError("recurrence coefficients built")
+
+        monkeypatch.setattr(genfunc, "math", SimpleNamespace(comb=failing))
+        for family in "ab":
+            args = ("seq", "--family", family, "--k", "20000", "--q", "1", "--n-max", "16")
+            default = run(capsys, *args)
+            assert default[0] == 0
+            assert default == run(capsys, *args, "--via", "direct")
 
     def test_large_q_b_file_is_linear(self, capsys):
         # b(0, q; j) = (-q)^j; the defining sum takes minutes for this file
@@ -219,7 +226,7 @@ class TestSeq:
             capsys, "seq", "--family", "b", "--k", "1", "--q", "2", "--via", "single"
         )
         assert code == 2
-        assert err == "binsum: error: family b supports --via direct or series or recurrence\n"
+        assert err == "binsum: error: family b supports --via direct or series\n"
         code, _, err = run(
             capsys, "seq", "--family", "c", "--J", "1", "--q", "2", "--via", "series"
         )
