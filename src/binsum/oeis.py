@@ -14,8 +14,6 @@ import os
 import re
 import sys
 import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -156,6 +154,11 @@ def fetch_bfile(
     elif offline:
         terms = parse_bfile(_fixture_text(oeis_id))
     else:
+        # imported here: urllib.request pulls in http.client, ssl and email,
+        # which an offline run never uses
+        import urllib.error
+        import urllib.request
+
         digits = oeis_id[1:]
         url = _BFILE_URL.format(id=oeis_id, digits=digits)
         try:

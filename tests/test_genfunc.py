@@ -292,6 +292,21 @@ class TestRecurrence:
         with pytest.raises(NotAPowerSeriesError):
             recurrence_from_gf(RationalGF([1], [0, 1]))
 
+    def test_values_are_exact_never_float(self):
+        # the polynomial kernel computes in int, and its accessors must hand
+        # out Fractions: callers divide them, and int / int is a float
+        exact = (int, Fraction)
+        for f in (A_gf(3, 2), B_gf(2, 5), RationalGF([Fraction(1, 3), 2], [3, -1, 2])):
+            for p in (f.numerator, f.denominator):
+                assert all(isinstance(c, exact) for c in p.coefficients)
+                assert all(isinstance(p.coefficient(i), exact) for i in range(p.degree + 2))
+            assert all(isinstance(t, exact) for t in f.series(12))
+        for k in range(5):
+            for q in range(4):
+                rec = recurrence_from_gf(A_gf(k, q))
+                assert all(isinstance(c, exact) for c in rec.coefficients), (k, q)
+                assert all(isinstance(t, exact) for t in rec.initial_terms), (k, q)
+
 
 class TestStirlingChecks:
     def test_partial_transform_examples(self):

@@ -1,8 +1,11 @@
 """b-file parsing, fixture/cache resolution, and term comparison."""
 
 import io
+import os
+import subprocess
 import sys
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from binsum.oeis import (
     parse_bfile,
     validate_oeis_id,
 )
+import binsum
 from binsum.verify import compare_pinned
 
 
@@ -214,6 +218,18 @@ class TestFetch:
         assert str(info.value) == "line 1: not UTF-8 text"
         assert not (tmp_path / "b999997.txt").exists()
 
+
+    def test_offline_import_leaves_urllib_request_out(self):
+        # urllib.request loads http.client, ssl and email; only a network
+        # fetch imports it, so a fresh interpreter importing the CLI does not
+        src = str(Path(binsum.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, binsum.cli; print('urllib.request' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
 class TestCompareTerms:
     def test_pinned_shift(self):

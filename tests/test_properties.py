@@ -1,7 +1,10 @@
-"""Algebraic invariants of RationalGF and the genfunc operators, as properties.
+"""Algebraic invariants of the polynomial kernel, RationalGF and the genfunc
+operators, as properties.
 
-Random small rational functions, rational binomial tops and family
-parameters come from Hypothesis; the module is skipped when Hypothesis is not installed.
+Random small polynomials, rational functions, rational binomial tops and
+family parameters come from Hypothesis; the module is skipped when
+Hypothesis is not installed.  Polynomial arithmetic is compared with a
+reference over plain lists of Fractions written below.
 """
 
 from fractions import Fraction
@@ -37,6 +40,117 @@ power_series_denominator = st.tuples(
 any_gf = st.builds(RationalGF, polynomial, nonzero_polynomial)
 nonzero_gf = st.builds(RationalGF, nonzero_polynomial, nonzero_polynomial)
 series_gf = st.builds(RationalGF, polynomial, power_series_denominator)
+
+
+# ------------------------------------------------ Fraction-list reference
+# A polynomial is a list of Fraction coefficients, ascending, trimmed.
+
+
+def _trim(coefficients):
+    out = [Fraction(c) for c in coefficients]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    remainder, quotient = _trim(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(remainder) >= len(b):
+        shift = len(remainder) - len(b)
+        factor = remainder[-1] / b[-1]
+        quotient[shift] = factor
+        remainder = _ref_add(remainder, _ref_mul([0] * shift + [-factor], b))
+    return _trim(quotient), remainder
+
+
+def _ref_gcd(a, b):
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def _assert_is(p, reference):
+    """p is in canonical form and has the reference's coefficients."""
+    nums, den = p._nums, p._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in nums)
+    assert gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    assert list(p.coefficients) == reference
+    assert all(type(c) is Fraction for c in p.coefficients)
+
+
+coefficient_list = st.lists(coefficient, max_size=6)
+nonzero_coefficient_list = coefficient_list.filter(lambda c: any(c))
+scalar = st.one_of(st.integers(min_value=-30, max_value=30), coefficient)
+
+
+@SETTINGS
+@given(coefficient_list, coefficient_list, scalar, st.integers(min_value=0, max_value=4))
+def test_polynomial_arithmetic_matches_the_reference(a, b, s, e):
+    p, q = Polynomial(a), Polynomial(b)
+    _assert_is(p, _trim(a))
+    power = [Fraction(1)]
+    for _ in range(e):
+        power = _ref_mul(power, _trim(a))
+    cases = [
+        (p + q, _ref_add(a, b)),
+        (p - q, _ref_add(a, [-c for c in b])),
+        (-p, _trim(-c for c in a)),
+        (p * q, _ref_mul(a, b)),
+        (p * s, _trim(c * s for c in a)),
+        (s * p, _trim(c * s for c in a)),
+        (p + s, _ref_add(a, [s])),
+        (s - p, _ref_add([s], [-c for c in a])),
+        (p**e, power),
+    ]
+    for got, reference in cases:
+        _assert_is(got, reference)
+
+
+@SETTINGS
+@given(coefficient_list, nonzero_coefficient_list, nonzero_coefficient_list)
+def test_divmod_and_gcd_match_the_reference(a, b, common):
+    # a shared factor gives the gcd a degree above zero in most examples
+    a, b = _ref_mul(a, common), _ref_mul(b, common)
+    quotient, remainder = divmod(Polynomial(a), Polynomial(b))
+    want_quotient, want_remainder = _ref_divmod(a, b)
+    _assert_is(quotient, want_quotient)
+    _assert_is(remainder, want_remainder)
+    _assert_is(poly_gcd(Polynomial(a), Polynomial(b)), _ref_gcd(a, b))
+    _assert_is(poly_gcd(Polynomial(b), Polynomial(a)), _ref_gcd(b, a))
+
+
+@SETTINGS
+@given(coefficient_list, coefficient_list, scalar.filter(lambda s: s != 0))
+def test_equal_values_compare_and_hash_equal(a, b, s):
+    p, q = Polynomial(a), Polynomial(b)
+    presentations = [
+        Polynomial([Fraction(c) for c in a] + [0, 0]),
+        (p * s) * (1 / Fraction(s)),
+        (p + q) - q,
+        Polynomial.from_value(p.coefficients),
+    ]
+    for other in presentations:
+        assert other == p
+        assert hash(other) == hash(p)
+    if p.degree <= 0:
+        value = p.coefficient(0)
+        assert p == value and hash(p) == hash(value)
 
 
 @SETTINGS

@@ -1,4 +1,6 @@
-"""sympy as an independent oracle for the exact kernels.
+"""sympy as an independent oracle for the exact kernels: rational-top
+binomials, the verdict of the fraction-free solve, the polynomial gcd and the
+canonical form of RationalGF.
 
 binsum itself is stdlib-only; these checks run where sympy is installed and
 are skipped elsewhere.
@@ -13,6 +15,7 @@ sympy = pytest.importorskip("sympy")
 
 from binsum.combinatorics import binomial  # noqa: E402
 from binsum.genfunc import _solve_exact  # noqa: E402
+from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
 
 
 def test_binomial_rational_tops_match_sympy():
@@ -60,3 +63,58 @@ def test_solve_exact_verdict_matches_sympy_rank():
         verdicts.add((consistent, matrix.rank() < len(rows[0])))
     # both verdicts occur, with and without free unknowns
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _random_polynomial(rng, max_degree):
+    return Polynomial(
+        Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(rng.randint(0, max_degree + 1))
+    )
+
+
+def _as_sympy(p, z):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(p.coefficients)),
+        sympy.Integer(0),
+    )
+
+
+def _pairs_with_common_factor(rng, count):
+    """Random (a, b), most of them multiplied by a shared random factor."""
+    for _ in range(count):
+        common = _random_polynomial(rng, 3)
+        if common.is_zero():
+            common = Polynomial([1])
+        yield _random_polynomial(rng, 4) * common, _random_polynomial(rng, 4) * common
+
+
+def test_poly_gcd_matches_sympy_up_to_a_scalar():
+    z = sympy.Symbol("z")
+    rng = random.Random(1967)
+    degrees = set()
+    for a, b in _pairs_with_common_factor(rng, 200):
+        got = poly_gcd(a, b)
+        want = sympy.Poly(sympy.gcd(_as_sympy(a, z), _as_sympy(b, z)), z, domain="QQ")
+        if want.is_zero:
+            assert got.is_zero(), (a, b)
+            continue
+        # poly_gcd is monic; sympy's gcd is the same polynomial up to a scalar
+        monic = [Fraction(int(c.p), int(c.q)) for c in reversed(want.monic().all_coeffs())]
+        assert list(got.coefficients) == monic, (a, b)
+        degrees.add(got.degree)
+    assert {0, 1, 2, 3} <= degrees
+
+
+def test_canonical_form_matches_sympy_cancel():
+    z = sympy.Symbol("z")
+    rng = random.Random(1971)
+    for a, b in _pairs_with_common_factor(rng, 120):
+        if b.is_zero():
+            continue
+        f = RationalGF(a, b)
+        num, den = sympy.fraction(sympy.cancel(_as_sympy(a, z) / _as_sympy(b, z)))
+        got_num, got_den = _as_sympy(f.numerator, z), _as_sympy(f.denominator, z)
+        # sympy's num/den is in lowest terms, so the same function with the
+        # same degrees is the same pair up to one scalar
+        assert sympy.expand(got_num * den - num * got_den) == 0, (a, b)
+        assert sympy.degree(got_num, z) == sympy.degree(num, z), (a, b)
+        assert sympy.degree(got_den, z) == sympy.degree(den, z), (a, b)
