@@ -8,8 +8,8 @@ anywhere.  Integral results come back as ``int``.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -71,16 +71,20 @@ _WEIGHTS = {
     "stirling1_signed": lambda m, k: (1 - m, 1),
     "eulerian": lambda m, k: (k + 1, m - k),
 }
+_ROWS: defaultdict[str, dict[int, tuple[int, ...]]] = defaultdict(lambda: {0: (1,)})
 
 
-@lru_cache(maxsize=None)
 def _row(name: str, n: int) -> tuple[int, ...]:
-    """T(n, 0..n), built in a loop from row 0 so large n needs no recursion."""
-    weights, row = _WEIGHTS[name], [1]
-    for m in range(1, n + 1):
-        pairs = enumerate(zip(row + [0], [0] + row))
-        row = [u * a + v * b for k, (a, b) in pairs for u, v in [weights(m, k)]]
-    return tuple(row)
+    """T(n, 0..n), built in a loop on the largest cached row below n, so rows
+    0..n asked for in order take n row steps; only rows asked for are kept."""
+    rows = _ROWS[name]
+    if n not in rows:
+        weights, row = _WEIGHTS[name], list(rows[max(m for m in rows if m < n)])
+        for m in range(len(row), n + 1):
+            pairs = enumerate(zip(row + [0], [0] + row))
+            row = [u * a + v * b for k, (a, b) in pairs for u, v in [weights(m, k)]]
+        rows[n] = tuple(row)
+    return rows[n]
 
 
 def stirling2(n: int, k: int) -> int:

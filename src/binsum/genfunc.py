@@ -99,14 +99,25 @@ def omega_poly(n: int) -> Polynomial:
     return Polynomial([stirling2(n, j) * factorial(j) for j in range(n + 1)])
 
 
-def _omega_transformed(n: int) -> Polynomial:
-    """The P with 1/(1-x) * omega_n(x/(1-x)) = P(x)/(1-x)^(n+1)."""
-    return substitute_cleared(omega_poly(n), Polynomial([0, 1]), Polynomial([1, -1]), n)
+def _omega_sum(weights: Sequence[Scalar]) -> Polynomial:
+    """(1/n!) sum_{t=0..n} weights[t] omega_t(x), with n = len(weights) - 1.
+
+    Coefficient j is (j!/n!) sum_{t>=j} weights[t] S2(t, j), so collecting
+    it takes O(n^2) coefficient work and no polynomial arithmetic."""
+    n = len(weights) - 1
+    sums = [sum(w * stirling2(t, j) for t, w in enumerate(weights[j:], j)) for j in range(n + 1)]
+    return Polynomial([factorial(j) * s for j, s in enumerate(sums)]) * Fraction(1, factorial(n))
+
+
+def _geometric_gf(w: Polynomial, n: int) -> RationalGF:
+    """1/(1-x) * w(x/(1-x)) for deg w <= n, as a numerator over (1-x)^(n+1)."""
+    one_minus = Polynomial([1, -1])
+    return RationalGF(substitute_cleared(w, Polynomial([0, 1]), one_minus, n), one_minus ** (n + 1))
 
 
 def power_sum_gf(n: int) -> RationalGF:
     """Rational form of sum_{k>=0} k^n x^k, built by the omega substitution."""
-    return RationalGF(_omega_transformed(n), Polynomial([1, -1]) ** (n + 1))
+    return _geometric_gf(omega_poly(n), n)
 
 
 def C_gf_stirling(J: int, q: int) -> RationalGF:
@@ -115,20 +126,15 @@ def C_gf_stirling(J: int, q: int) -> RationalGF:
     C(J, q; z) = (1/J!) sum_{t=0..J} [1/(1-z)] omega_t(z/(1-z)) q^t
                  * (-1)^(J+t) s(J+1, t+1)
 
-    with s the signed Stirling numbers of the first kind.  Term t is
-    P_t(z)/(1-z)^(t+1) with P_t from _omega_transformed, so over the common
-    denominator J! (1-z)^(J+1) the numerator sum_t w_t P_t (1-z)^(J-t) is
-    accumulated by Horner in (1-z): num <- num*(1-z) + w_t*P_t for
-    t = 0..J.  The denominator divides (1-z)^(J+1).
+    with s the signed Stirling numbers of the first kind.  The substitution
+    z -> z/(1-z) is linear, so the sum is taken first: with w_t the weight of
+    term t, W(z) = (1/J!) sum_t w_t omega_t(z) is one polynomial of degree
+    <= J, substituted once as (1-z)^J W(z/(1-z)) over (1-z)^(J+1).
     """
     if J < 0 or q < 0:
         raise ValueError("J and q must be nonnegative")
-    one_minus = Polynomial([1, -1])
-    numerator = Polynomial()
-    for t in range(J + 1):
-        weight = q**t * (-1) ** (J + t) * stirling1_signed(J + 1, t + 1)
-        numerator = numerator * one_minus + weight * _omega_transformed(t)
-    return RationalGF(numerator, factorial(J) * one_minus ** (J + 1))
+    weights = [q**t * (-1) ** (J + t) * stirling1_signed(J + 1, t + 1) for t in range(J + 1)]
+    return _geometric_gf(_omega_sum(weights), J)
 
 
 def C2_closed_form(J: int) -> RationalGF:
@@ -339,8 +345,4 @@ def stirling_omega_identity_check(n: int) -> tuple[Polynomial, Polynomial]:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    reconstruction = Polynomial()
-    for k in range(n + 1):
-        reconstruction = reconstruction + stirling1_signed(n, k) * omega_poly(k)
-    reconstruction = reconstruction * Fraction(1, factorial(n))
-    return Polynomial.monomial(1, n), reconstruction
+    return Polynomial.monomial(1, n), _omega_sum([stirling1_signed(n, k) for k in range(n + 1)])

@@ -421,14 +421,8 @@ class RationalGF:
         # for c*(b0+b1*z)^e the logarithmic derivative at 0 gives b1/b0
         ratio = Fraction(den.coefficient(1), e * den.coefficient(0))
         base = Polynomial([ratio.denominator, ratio.numerator])
-        if base.coefficient(0) < 0:
-            base = -base
-        power = base**e
-        lead = power.coefficient(0)
-        if lead == 0:
-            return None
-        scale = Fraction(den.coefficient(0), lead)
-        if scale.denominator != 1 or den != power * scale:
+        scale = Fraction(den.coefficient(0), ratio.denominator**e)
+        if scale.denominator != 1 or den != base**e * scale:
             return None
         return int(scale), base, e
 

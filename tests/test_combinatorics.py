@@ -10,6 +10,7 @@ from itertools import permutations
 
 import pytest
 
+from binsum import combinatorics
 from binsum.combinatorics import (
     binomial,
     eulerian,
@@ -210,6 +211,23 @@ class TestStirling1Signed:
     def test_out_of_range(self):
         assert stirling1_signed(4, -1) == 0
         assert stirling1_signed(4, 5) == 0
+
+
+def test_rows_asked_in_order_take_one_step_each(monkeypatch):
+    # a triangle of its own, so no row is cached before the test asks for it
+    stirling2_weights = combinatorics._WEIGHTS["stirling2"]
+    steps = []
+
+    def counted(m, k):
+        if k == 0:
+            steps.append(m)
+        return stirling2_weights(m, k)
+
+    monkeypatch.setitem(combinatorics._WEIGHTS, "counted stirling2", counted)
+    n = 40
+    rows = [combinatorics._row("counted stirling2", m) for m in range(n + 1)]
+    assert steps == list(range(1, n + 1))
+    assert rows == [tuple(stirling2(m, k) for k in range(m + 1)) for m in range(n + 1)]
 
 
 class TestEulerian:

@@ -61,6 +61,16 @@ def _C_gf_per_t(J, q):
     return RationalGF(numerator, factorial(J) * one_minus ** (J + 1))
 
 
+def _C_gf_from_seeds(J, q):
+    """Reference with no Stirling numbers: c(J, q; i) = C(J+qi, J) is a
+    polynomial of degree <= J in i, so (1-x)^(J+1) annihilates it and the
+    numerator is the first J+1 terms times (1-x)^(J+1), truncated below
+    x^(J+1)."""
+    denominator = Polynomial([1, -1]) ** (J + 1)
+    seeds = Polynomial([c_direct(J, q, i) for i in range(J + 1)])
+    return RationalGF((seeds * denominator).coefficients[: J + 1], denominator)
+
+
 def test_gf_series_examples():
     assert RationalGF([1], [1, 2]).series(4) == [1, -2, 4, -8]
     row_12 = RationalGF([1, -1], Polynomial([1, 2]) ** 2)
@@ -189,6 +199,14 @@ class TestCgf:
         for J in range(11):
             for q in range(6):
                 assert C_gf_stirling(J, q) == _C_gf_per_t(J, q), (J, q)
+
+    def test_matches_seed_reference_at_large_J(self):
+        for J in (11, 17, 24, 33, 45, 60):
+            for q in range(6):
+                reference = _C_gf_from_seeds(J, q)
+                n = J + 11
+                assert reference.series(n) == [c_direct(J, q, i) for i in range(n)], (J, q)
+                assert C_gf_stirling(J, q) == reference, (J, q)
 
 
 class TestC2:
