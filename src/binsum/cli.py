@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oeis as oeis_mod
-from .errors import BFileParseError, FixtureMissingError, TransportError
+from .errors import BFileParseError
 from .genfunc import (
     A_gf,
     B_gf,
@@ -115,8 +115,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="fit the function to series terms instead of building it algebraically",
     )
-    gf.add_argument("--num-degree", type=_nonnegative)
-    gf.add_argument("--den-degree", type=_nonnegative)
     gf.add_argument("--format", choices=("text", "json"), default="text")
 
     recur.add_argument("--format", choices=("text", "json"), default="text")
@@ -255,21 +253,15 @@ def _cmd_seq(args) -> int:
 def _build_gf(args) -> tuple[RationalGF, str]:
     """Return the requested function and its display variable."""
     family = args.family
-    num_degree, den_degree = getattr(args, "num_degree", None), getattr(args, "den_degree", None)
-    reconstruct = getattr(args, "reconstruct", False)
-    _require(
-        reconstruct or (num_degree, den_degree) == (None, None),
-        "--num-degree and --den-degree require --reconstruct",
-    )
     k_or_J, q = _family_params(args)
     variable = "x" if family == "C" else "z"
     # built per call, so the functions are the ones the module holds now
-    if reconstruct:
+    if getattr(args, "reconstruct", False):
         evaluate = {"A": a_single_sum, "B": b_direct, "C": c_direct}[family]
-        num_degree = k_or_J if num_degree is None else num_degree
-        den_degree = k_or_J + 1 if den_degree is None else den_degree
-        series = [evaluate(k_or_J, q, n) for n in range(num_degree + den_degree + 4)]
-        return reconstruct_rational(series, num_degree, den_degree), variable
+        # the paper's order bound k + 1 (J + 1 for C) needs 2k + 3 terms;
+        # two more are spares the fit must reproduce
+        series = [evaluate(k_or_J, q, n) for n in range(2 * k_or_J + 5)]
+        return reconstruct_rational(series), variable
 
     hint = " (or --reconstruct)" if args.command == "gf" else ""
     _require(q.denominator == 1, f"family {family} requires integer q{hint}")
@@ -342,8 +334,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             raise _UsageError(f"a subcommand is required ({', '.join(_HANDLERS)})")
         return _HANDLERS[args.command](args)
-    # BFileParseError is a ValueError, so the transport clause comes first
-    except (TransportError, FixtureMissingError, BFileParseError) as exc:
+    # OSError covers TransportError, FixtureMissingError and a cache file
+    # that cannot be written; BFileParseError is a ValueError, so this
+    # clause comes first
+    except (OSError, BFileParseError) as exc:
         print(f"binsum: error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     # ValueError covers the parameter and fitting errors; ArithmeticError

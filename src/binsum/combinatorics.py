@@ -74,15 +74,21 @@ _WEIGHTS = {
 _ROWS: defaultdict[str, dict[int, tuple[int, ...]]] = defaultdict(lambda: {0: (1,)})
 
 
+def _row_step(name: str, row: list[int], m: int) -> list[int]:
+    """T(m, 0..m) from row = T(m-1, 0..m-1)."""
+    weights = _WEIGHTS[name]
+    pairs = enumerate(zip(row + [0], [0] + row))
+    return [u * a + v * b for k, (a, b) in pairs for u, v in [weights(m, k)]]
+
+
 def _row(name: str, n: int) -> tuple[int, ...]:
     """T(n, 0..n), built in a loop on the largest cached row below n, so rows
     0..n asked for in order take n row steps; only rows asked for are kept."""
     rows = _ROWS[name]
     if n not in rows:
-        weights, row = _WEIGHTS[name], list(rows[max(m for m in rows if m < n)])
+        row = list(rows[max(m for m in rows if m < n)])
         for m in range(len(row), n + 1):
-            pairs = enumerate(zip(row + [0], [0] + row))
-            row = [u * a + v * b for k, (a, b) in pairs for u, v in [weights(m, k)]]
+            row = _row_step(name, row, m)
         rows[n] = tuple(row)
     return rows[n]
 

@@ -20,11 +20,15 @@ class NotAPowerSeriesError(ValueError):
 
 
 class NoRationalFitError(ValueError):
-    """No rational function of the requested degrees reproduces the series."""
+    """The fitted rational function does not reproduce every term of the series."""
 
 
 class NeedsMoreTermsError(ValueError):
-    """The series prefix is too short to determine a fit of the requested degrees."""
+    """The series prefix is too short to fix its shortest recurrence.
+
+    N terms whose shortest recurrence has order L fix it only when
+    N >= 2L; a fit also wants one spare term, so N >= 2L + 1.
+    """
 
 
 class BFileParseError(ValueError):

@@ -10,9 +10,9 @@ C(J, q; z) generates c(J, q; i) and is assembled from the geometric
 polynomials omega_n (power-sum numerators) weighted by signed Stirling
 numbers of the first kind.
 
-The module also reconstructs rational functions from series prefixes, solving
-for the denominator by fraction-free (Bareiss) elimination over the integers,
-and reads off C-finite recurrences from denominators.
+The module also reconstructs rational functions from series prefixes,
+finding the shortest recurrence by fraction-free Berlekamp-Massey over the
+integers, and reads off C-finite recurrences from denominators.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .combinatorics import (
     Scalar,
+    _row_step,
     binomial,
     factorial,
     stirling1_signed,
@@ -103,9 +105,17 @@ def _omega_sum(weights: Sequence[Scalar]) -> Polynomial:
     """(1/n!) sum_{t=0..n} weights[t] omega_t(x), with n = len(weights) - 1.
 
     Coefficient j is (j!/n!) sum_{t>=j} weights[t] S2(t, j), so collecting
-    it takes O(n^2) coefficient work and no polynomial arithmetic."""
+    it takes O(n^2) coefficient work and no polynomial arithmetic.  The rows
+    S2(t, .) are walked in order, each built from the one before, so one
+    row is held at a time and none is cached."""
     n = len(weights) - 1
-    sums = [sum(w * stirling2(t, j) for t, w in enumerate(weights[j:], j)) for j in range(n + 1)]
+    sums = [0] * (n + 1)
+    row = [1]
+    for t, w in enumerate(weights):
+        if t:
+            row = _row_step("stirling2", row, t)
+        for j, s in enumerate(row):
+            sums[j] += w * s
     return Polynomial([factorial(j) * s for j, s in enumerate(sums)]) * Fraction(1, factorial(n))
 
 
@@ -149,96 +159,47 @@ def C2_closed_form(J: int) -> RationalGF:
     return RationalGF(numerator, Polynomial([1, -1]) ** (J + 1))
 
 
-def reconstruct_rational(
-    series: Sequence[Scalar], num_degree: int, den_degree: int
-) -> RationalGF:
-    """Fit num/den with den(0)=1 to a series prefix, exactly.
+def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
+    """The rational function of least order whose series starts with series.
 
-    Requires at least num_degree + den_degree + 2 terms: enough to determine
-    the den_degree + num_degree + 1 unknowns with one spare equation.  The
-    candidate is verified against every supplied term before it is returned;
-    an unsatisfiable system raises NoRationalFitError.
+    The order L of P/Q is max(deg Q, deg P + 1), the length of the shortest
+    linear recurrence the series satisfies, and Berlekamp-Massey (Massey
+    1969) finds that recurrence in O(N L) steps for N terms.  The terms are
+    scaled to integers by the lcm of their denominators, which leaves the
+    recurrence alone, and the connection polynomial C is updated fraction
+    free, C <- b C - d z^m B, with its content divided out at each step.
+    The numerator is (T C) mod z^L for the scaled terms T.  N terms fix a
+    recurrence of order L only when N >= 2L, so N < 2L + 1 (no spare term)
+    raises NeedsMoreTermsError.  The candidate is checked against every
+    supplied term before it is returned.
     """
     terms = [Fraction(t) for t in series]
-    needed = num_degree + den_degree + 2
-    if len(terms) < needed:
-        raise NeedsMoreTermsError(
-            f"need at least {needed} terms for degrees ({num_degree}, {den_degree}), got {len(terms)}"
-        )
-    # den * S has zero coefficients above num_degree; solve for den_1..den_d
-    rows = []
-    rhs = []
-    for n in range(num_degree + 1, len(terms)):
-        rows.append([terms[n - i] if n - i >= 0 else Fraction(0) for i in range(1, den_degree + 1)])
-        rhs.append(-terms[n])
-    solution = _solve_exact(rows, rhs)
-    if solution is None:
-        raise NoRationalFitError(
-            f"no rational function of degrees ({num_degree}, {den_degree}) fits the series"
-        )
-    den = Polynomial([Fraction(1)] + solution)
-    # numerator by convolution of the low-order part
-    num = [
-        sum(den.coefficient(i) * terms[n - i] for i in range(0, min(n, den_degree) + 1))
-        for n in range(num_degree + 1)
-    ]
-    candidate = RationalGF(num, den)
-    if candidate.series(len(terms)) != terms:
-        raise NoRationalFitError(
-            f"no rational function of degrees ({num_degree}, {den_degree}) reproduces all terms"
-        )
-    return candidate
-
-
-def _solve_exact(
-    rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
-) -> list[Fraction] | None:
-    """Solve rows * x = rhs exactly by fraction-free (Bareiss) elimination.
-
-    Each equation is scaled to integers by the lcm of its denominators, and
-    the elimination stays in int: updating a row below the pivot row to
-    pivot * row - row[col] * pivot_row, divided by the previous pivot, is an
-    exact division (Bareiss 1968, from Sylvester's identity), so no gcd is
-    taken.  A column with no pivot is skipped and its unknown is free.  Free
-    unknowns take zero and the pivot unknowns come from back substitution
-    over Fraction; an inconsistent system returns None.
-    """
-    aug = []
-    for row, b in zip(rows, rhs):
-        entries = [*row, b]
-        # unpack a list, not a generator: a tuple built from a generator is
-        # grown by realloc and so piles up in CPython's tuple free lists
-        scale = math.lcm(*[x.denominator for x in entries])
-        aug.append([x.numerator * (scale // x.denominator) for x in entries])
-    m = len(aug)
-    n = len(rows[0]) if rows else 0
-    pivot_cols = []
-    previous = 1
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
+    scale = math.lcm(*[t.denominator for t in terms])
+    scaled = [t.numerator * (scale // t.denominator) for t in terms]
+    # C is the connection polynomial, of degree <= L; B is C as it was before
+    # step `last`, the last one that raised L, and b its discrepancy there
+    C, B, L, b, last = [1], [1], 0, 1, -1
+    for n in range(len(scaled)):
+        d = sum(c * scaled[n - i] for i, c in enumerate(C))
+        if d == 0:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pivot_row = aug[r]
-        p = pivot_row[col]
-        for i in range(r + 1, m):
-            row = aug[i]
-            a = row[col]
-            aug[i] = [(p * x - a * y) // previous for x, y in zip(row, pivot_row)]
-        previous = p
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][n] for i in range(r, m)):
-        return None
-    solution = [Fraction(0)] * n
-    for row_index in reversed(range(r)):
-        row, col = aug[row_index], pivot_cols[row_index]
-        known = sum(row[j] * solution[j] for j in pivot_cols[row_index + 1 :])
-        solution[col] = Fraction(row[n] - known) / row[col]
-    return solution
+        shifted = [0] * (n - last) + B
+        C, previous = [b * x - d * y for x, y in zip_longest(C, shifted, fillvalue=0)], C
+        while C[-1] == 0:
+            C.pop()
+        content = math.gcd(*C)
+        C = [c // content for c in C]
+        if 2 * L <= n:
+            L, B, b, last = n + 1 - L, previous, d, n
+    if len(terms) < 2 * L + 1:
+        raise NeedsMoreTermsError(
+            f"need at least {2 * L + 1} terms to fit a recurrence of order {L}, got {len(terms)}"
+        )
+    numerator = [sum(C[i] * scaled[j - i] for i in range(min(j, len(C) - 1) + 1)) for j in range(L)]
+    candidate = RationalGF(numerator, Polynomial(C) * scale)
+    if candidate.series(len(terms)) != terms:
+        raise NoRationalFitError(f"the order-{L} fit does not reproduce all {len(terms)} terms")
+    return candidate
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,8 @@ def fetch_bfile(
     Pairs come back sorted by index, truncated to max_terms when given.
     Offline mode reads the cache, then the bundled fixture; a miss on both
     raises FixtureMissingError.  Online mode fetches from oeis.org and
-    writes the cache atomically; network failure raises TransportError.
+    writes the cache atomically; network failure raises TransportError, and
+    a cache file that cannot be written raises OSError naming it.
     A cache file that does not parse, or is not UTF-8, raises BFileParseError
     naming the file and, unless a re-fetch would bring the same failure back,
     saying to delete it; a fetched file that does not parse raises it too and
@@ -167,15 +168,17 @@ def fetch_bfile(
         except (urllib.error.URLError, OSError, TimeoutError) as exc:
             raise TransportError(f"could not fetch {url}: {exc}") from exc
         terms = parse_bfile(_decode(data))  # validate before caching
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp_name = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp_name, path)
-        except OSError:
-            os.unlink(tmp_name)
-            raise
+        except OSError as exc:
+            if tmp_name is not None:
+                os.unlink(tmp_name)
+            raise OSError(f"could not write cache file {path}: {exc}") from exc
 
     pairs = sorted(terms.items())
     if max_terms is not None:

@@ -298,17 +298,15 @@ def _q_tag(q) -> str:
     return f"{q.numerator}-{q.denominator}"
 
 
-def _fit_degrees(gf: RationalGF) -> tuple[int, int, int]:
-    """Numerator and denominator degrees of gf, and the series length a fit of them needs."""
-    dn = max(gf.numerator.degree, 0)
-    dd = max(gf.denominator.degree, 0)
-    return dn, dd, dn + dd + 3
+def _fit_length(gf: RationalGF) -> int:
+    """Series length that refits gf: its order L needs 2L + 1 terms, plus one spare."""
+    order = max(gf.denominator.degree, gf.numerator.degree + 1)
+    return 2 * order + 2
 
 
 def _check_b_row(row) -> Optional[str]:
     gf = row.gf.expand()
-    dn, dd, length = _fit_degrees(gf)
-    length = max(len(row.terms), length)
+    length = max(len(row.terms), _fit_length(gf))
     series = [Fraction(b_direct(row.k, row.q, j)) for j in range(length)]
     complaint = _first_mismatch(
         "j={0}: evaluator gave {got}, table lists {want}",
@@ -318,7 +316,7 @@ def _check_b_row(row) -> Optional[str]:
         return complaint
     if gf.series(length) != series:
         return "expansion of the tabulated function diverges from the terms"
-    refit = reconstruct_rational(series, dn, dd)
+    refit = reconstruct_rational(series)
     if refit != gf:
         return f"series fit returned {refit.render()}, table lists {gf.render()}"
     return None
@@ -387,8 +385,7 @@ def _check_fidelity(build, evaluate, k: int, q: int, horizon: int) -> Optional[s
 def _check_roundtrip(rows) -> Optional[str]:
     for tag, gf_spec in rows:
         gf = gf_spec.expand()
-        dn, dd, length = _fit_degrees(gf)
-        refit = reconstruct_rational(gf.series(length), dn, dd)
+        refit = reconstruct_rational(gf.series(_fit_length(gf)))
         if refit != gf:
             return f"{tag}: refit {refit.render()} != {gf.render()}"
     return None

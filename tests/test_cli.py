@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import io
 import json
 import sys
 from fractions import Fraction
@@ -277,40 +278,22 @@ class TestGf:
         assert code == 2
         assert err == "binsum: error: family B requires integer q (or --reconstruct)\n"
 
-    def test_degree_flags_require_reconstruct(self, capsys):
-        base = ("gf", "--family", "A", "--k", "2", "--q", "2")
-        for flags in (
-            ("--num-degree", "1", "--den-degree", "0"),
-            ("--num-degree", "1"),
-            ("--den-degree", "0"),
-        ):
-            code, out, err = run(capsys, *base, *flags)
+    def test_degree_flags_are_usage_errors(self, capsys):
+        # the fit finds the order itself, so the old degree options are gone
+        base = ("gf", "--family", "A", "--k", "2", "--q", "2", "--reconstruct")
+        for flag in ("--num-degree", "--den-degree"):
+            code, out, err = run(capsys, *base, flag, "2")
             assert code == 2
             assert out == ""
-            assert err == (
-                "binsum: error: --num-degree and --den-degree require --reconstruct\n"
-            )
-        code, out, _ = run(capsys, *base, "--num-degree", "2", "--den-degree", "3",
-                           "--reconstruct")
-        assert code == 0
-        assert out == "(1 + z - 3*z^2)/(1 - 3*z)^3\n"
+            assert err == f"binsum: error: unrecognized arguments: {flag} 2\n"
 
     def test_c_family_reconstruct(self, capsys):
-        base = ("gf", "--family", "C", "--J", "2", "--q", "2", "--reconstruct")
-        for flags in ((), ("--num-degree", "5")):
-            code, out, err = run(capsys, *base, *flags)
-            assert code == 0
-            assert out == "(1 + 3*x)/(1 - x)^3\n"
-            assert err == ""
-
-    def test_c_family_reconstruct_degrees_too_low(self, capsys):
         code, out, err = run(
-            capsys, "gf", "--family", "C", "--J", "3", "--q", "2", "--reconstruct",
-            "--den-degree", "1",
+            capsys, "gf", "--family", "C", "--J", "2", "--q", "2", "--reconstruct"
         )
-        assert code == 2
-        assert out == ""
-        assert err == "binsum: error: no rational function of degrees (3, 1) fits the series\n"
+        assert code == 0
+        assert out == "(1 + 3*x)/(1 - x)^3\n"
+        assert err == ""
 
 
 class TestRecur:
@@ -427,6 +410,23 @@ class TestOeis:
             f"binsum: error: corrupt cache file {tmp_path / 'b027471.txt'}: line 1: "
             "not UTF-8 text; delete it to re-fetch\n"
         )
+
+    def test_unwritable_cache(self, capsys, monkeypatch, tmp_path):
+        # the cache directory would sit under a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(blocker / "cache"))
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda url, timeout: io.BytesIO(b"0 1\n1 2\n")
+        )
+        code, out, err = run(capsys, "oeis", "--id", "A000001")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            f"binsum: error: could not write cache file {blocker / 'cache' / 'b000001.txt'}: "
+        )
+        assert err.count("\n") == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_compare_non_integral_term(self, capsys, monkeypatch, tmp_path):
         import binsum.verify as verify_mod

@@ -1,13 +1,14 @@
 """Generating functions, transforms, reconstruction, recurrences."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
+from binsum import combinatorics
 from binsum.combinatorics import binomial, eulerian, factorial, stirling1_signed
 from binsum.errors import (
     NeedsMoreTermsError,
-    NoRationalFitError,
     NotAPowerSeriesError,
     UnsupportedParameterError,
 )
@@ -208,6 +209,12 @@ class TestCgf:
                 assert reference.series(n) == [c_direct(J, q, i) for i in range(n)], (J, q)
                 assert C_gf_stirling(J, q) == reference, (J, q)
 
+    def test_build_caches_no_stirling2_row(self, monkeypatch):
+        # the Stirling rows are walked one at a time, not kept for the process
+        monkeypatch.setattr(combinatorics, "_ROWS", defaultdict(lambda: {0: (1,)}))
+        C_gf_stirling(60, 1)
+        assert "stirling2" not in combinatorics._ROWS
+
 
 class TestC2:
     def test_examples(self):
@@ -230,36 +237,41 @@ class TestReconstruct:
     def test_geometric(self):
         for q in (1, 2, 5):
             series = [(-q) ** j for j in range(6)]
-            assert reconstruct_rational(series, 0, 1) == RationalGF([1], [1, q])
+            assert reconstruct_rational(series) == RationalGF([1], [1, q])
 
     def test_fractional_row_from_terms(self):
         series = [b_direct(1, Fraction(1, 2), j) for j in range(8)]
         expected = RationalGF([8, 1], 2 * Polynomial([2, 1]) ** 2)
-        assert reconstruct_rational(series, 1, 2) == expected
+        assert reconstruct_rational(series) == expected
 
     def test_overdetermined_still_verified(self):
         f = RationalGF([1, -1], Polynomial([1, 2]) ** 2)
-        assert reconstruct_rational(f.series(20), 1, 2) == f
+        assert reconstruct_rational(f.series(20)) == f
 
     def test_degree_slack_is_fine(self):
-        # requesting more degrees than needed leaves free variables at zero
+        # the numerator degree may sit well below the order
         f = RationalGF([1], Polynomial([1, -3]) ** 2)
-        assert reconstruct_rational(f.series(9), 1, 2) == f
+        assert reconstruct_rational(f.series(5)) == f
 
     def test_needs_more_terms(self):
-        with pytest.raises(NeedsMoreTermsError):
-            reconstruct_rational([1, 2, 3], 2, 2)
+        # 1, 2, 3 suggest order 2, which needs 5 terms
+        with pytest.raises(NeedsMoreTermsError) as info:
+            reconstruct_rational([1, 2, 3])
+        assert str(info.value) == "need at least 5 terms to fit a recurrence of order 2, got 3"
 
-    def test_no_fit(self):
-        with pytest.raises(NoRationalFitError):
-            reconstruct_rational([1, 1, 2, 3, 5, 8], 0, 1)
+    def test_fibonacci(self):
+        assert reconstruct_rational([1, 1, 2, 3, 5, 8]) == RationalGF([1], [1, -1, -1])
+
+    def test_zero_series(self):
+        assert reconstruct_rational([0]) == RationalGF(0)
+        with pytest.raises(NeedsMoreTermsError):
+            reconstruct_rational([])
 
     def test_tabulated_round_trip(self):
         for build, x, y in ((B_gf, 3, 2), (A_gf, 2, 3), (B_gf, 4, 1)):
             f = build(x, y)
-            dn = max(f.numerator.degree, 0)
-            dd = max(f.denominator.degree, 0)
-            assert reconstruct_rational(f.series(dn + dd + 2), dn, dd) == f
+            order = max(f.denominator.degree, f.numerator.degree + 1)
+            assert reconstruct_rational(f.series(2 * order + 1)) == f
 
 
 class TestRecurrence:

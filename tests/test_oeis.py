@@ -219,6 +219,20 @@ class TestFetch:
         assert not (tmp_path / "b999997.txt").exists()
 
 
+    def test_failed_cache_write_names_the_file_and_cleans_up(self, tmp_path, monkeypatch):
+        # a directory where the cache file goes: the temporary file is
+        # written, and replacing the directory with it fails
+        (tmp_path / "b999996.txt" / "entry").mkdir(parents=True)
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda url, timeout: FakeResponse(b"0 1\n")
+        )
+        with pytest.raises(OSError) as info:
+            fetch_bfile("A999996", cache_dir=str(tmp_path))
+        assert str(info.value).startswith(
+            f"could not write cache file {tmp_path / 'b999996.txt'}: "
+        )
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_offline_import_leaves_urllib_request_out(self):
         # urllib.request loads http.client, ssl and email; only a network
         # fetch imports it, so a fresh interpreter importing the CLI does not

@@ -17,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from binsum.combinatorics import binomial  # noqa: E402
-from binsum.errors import NoRationalFitError  # noqa: E402
+from binsum.errors import NeedsMoreTermsError  # noqa: E402
 from binsum.genfunc import (  # noqa: E402
     binomial_transform_gf,
     reconstruct_rational,
@@ -179,35 +179,41 @@ def test_recurrence_regenerates_series(f, n):
     assert recurrence_from_gf(f).terms(n) == f.series(n)
 
 
+def _order(f):
+    return max(f.denominator.degree, f.numerator.degree + 1)
+
+
 @SETTINGS
-@given(
-    series_gf,
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=3),
-)
-def test_reconstruct_recovers_function(f, spare, extra_num, extra_den):
-    # with degrees above the function's, the system is rank-deficient and the
-    # free unknowns are set to zero, yet the fit is the same function
-    num_degree = max(f.numerator.degree, 0) + extra_num
-    den_degree = f.denominator.degree + extra_den
-    series = f.series(num_degree + den_degree + 2 + spare)
-    assert reconstruct_rational(series, num_degree, den_degree) == f
+@given(series_gf, st.integers(min_value=0, max_value=3))
+def test_reconstruct_recovers_function(f, spare):
+    # 2 * order terms fix the function; the fit wants one spare
+    assert reconstruct_rational(f.series(2 * _order(f) + 1 + spare)) == f
+
+
+@SETTINGS
+@given(st.lists(coefficient, max_size=12))
+def test_reconstruct_reproduces_every_term(series):
+    try:
+        fit = reconstruct_rational(series)
+    except NeedsMoreTermsError:
+        return
+    assert fit.series(len(series)) == series
 
 
 @SETTINGS
 @given(series_gf, st.integers(min_value=0, max_value=3), st.data())
 def test_reconstruct_rejects_a_changed_term(f, spare, data):
-    # the first num_degree + den_degree + 1 terms determine a fit of these
-    # degrees, so a change at any later index leaves nothing that fits
-    num_degree = max(f.numerator.degree, 0)
-    den_degree = f.denominator.degree
-    series = f.series(num_degree + den_degree + 2 + spare)
-    first_free = num_degree + den_degree + 1
-    index = data.draw(st.integers(min_value=first_free, max_value=len(series) - 1))
+    # the first 2 * order terms fix f, so after a change at any later index
+    # the fit, if there is one, is another function
+    series = f.series(2 * _order(f) + 1 + spare)
+    index = data.draw(st.integers(min_value=2 * _order(f), max_value=len(series) - 1))
     series[index] += data.draw(coefficient.filter(lambda c: c != 0))
-    with pytest.raises(NoRationalFitError):
-        reconstruct_rational(series, num_degree, den_degree)
+    try:
+        fit = reconstruct_rational(series)
+    except NeedsMoreTermsError:
+        return
+    assert fit != f
+    assert fit.series(len(series)) == series
 
 
 @SETTINGS

@@ -1,5 +1,5 @@
 """sympy as an independent oracle for the exact kernels: rational-top
-binomials, the verdict of the fraction-free solve, the polynomial gcd and the
+binomials, the Berlekamp-Massey series fit, the polynomial gcd and the
 canonical form of RationalGF.
 
 binsum itself is stdlib-only; these checks run where sympy is installed and
@@ -14,7 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from binsum.combinatorics import binomial  # noqa: E402
-from binsum.genfunc import _solve_exact  # noqa: E402
+from binsum.genfunc import reconstruct_rational  # noqa: E402
 from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
 
 
@@ -27,55 +27,39 @@ def test_binomial_rational_tops_match_sympy():
                 assert binomial(top, k) == Fraction(int(expected.p), int(expected.q))
 
 
-def _random_system(rng):
-    """A small integer system; about half are built rank-deficient, with rows
-    that are integer combinations of fewer base rows."""
-    m, n = rng.randint(1, 6), rng.randint(1, 5)
-    if rng.random() < 0.5:
-        base = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, min(m, n)))]
-        rows = []
-        for _ in range(m):
-            weights = [rng.randint(-2, 2) for _ in base]
-            rows.append([sum(w * b[j] for w, b in zip(weights, base)) for j in range(n)])
-    else:
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-    if rng.random() < 0.5:
-        # consistent by construction
-        x = [rng.randint(-3, 3) for _ in range(n)]
-        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-    else:
-        rhs = [rng.randint(-4, 4) for _ in range(m)]
-    return rows, rhs
-
-
-def test_solve_exact_verdict_matches_sympy_rank():
-    rng = random.Random(20231)
-    verdicts = set()
-    for _ in range(400):
-        rows, rhs = _random_system(rng)
-        matrix = sympy.Matrix(rows)
-        augmented = matrix.row_join(sympy.Matrix(rhs))
-        consistent = matrix.rank() == augmented.rank()
-        solution = _solve_exact(rows, rhs)
-        assert (solution is not None) == consistent, (rows, rhs)
-        if solution is not None:
-            assert [sum(a * v for a, v in zip(row, solution)) for row in rows] == rhs
-        verdicts.add((consistent, matrix.rank() < len(rows[0])))
-    # both verdicts occur, with and without free unknowns
-    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
-
-
 def _random_polynomial(rng, max_degree):
     return Polynomial(
         Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(rng.randint(0, max_degree + 1))
     )
 
 
+def _rational(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
 def _as_sympy(p, z):
-    return sum(
-        (sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(p.coefficients)),
-        sympy.Integer(0),
-    )
+    return sum((_rational(c) * z**i for i, c in enumerate(p.coefficients)), sympy.Integer(0))
+
+
+def test_reconstruct_matches_sympy_linear_recurrence():
+    z = sympy.Symbol("z")
+    rng = random.Random(1969)
+    orders = set()
+    for _ in range(50):
+        den = Polynomial([1, *_random_polynomial(rng, 3).coefficients, rng.randint(1, 4)])
+        num = _random_polynomial(rng, den.degree - 1)
+        terms = RationalGF(num, den).series(2 * den.degree + 2)
+        fit = reconstruct_rational(terms)
+        coefficients, gf = sympy.SeqPer(tuple(_rational(t) for t in terms)).find_linear_recurrence(
+            len(terms), gfvar=z
+        )
+        order = max(fit.denominator.degree, fit.numerator.degree + 1)
+        assert order == len(coefficients), terms
+        want = gf if gf is not None else sympy.Integer(0)
+        got = _as_sympy(fit.numerator, z) / _as_sympy(fit.denominator, z)
+        assert sympy.cancel(got - want) == 0, terms
+        orders.add(order)
+    assert {1, 2, 3, 4} <= orders
 
 
 def _pairs_with_common_factor(rng, count):

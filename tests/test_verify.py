@@ -167,7 +167,7 @@ class TestFailureText:
         from binsum.polynomials import RationalGF
 
         monkeypatch.setattr(
-            verify_mod, "reconstruct_rational", lambda series, dn, dd: RationalGF([1], [1, -1])
+            verify_mod, "reconstruct_rational", lambda series: RationalGF([1], [1, -1])
         )
         report = run_suite("tables", Bounds(k_max=0, q_max=0))
         cases = cases_by_id(report)
