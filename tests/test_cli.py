@@ -287,6 +287,40 @@ class TestGf:
             assert out == ""
             assert err == f"binsum: error: unrecognized arguments: {flag} 2\n"
 
+    def test_degree_flags_require_reconstruct(self, capsys):
+        # without --reconstruct the degree options were refused; they still
+        # are, and the fit alone gives what the old degrees (2, 3) forced
+        base = ("gf", "--family", "A", "--k", "2", "--q", "2")
+        for flags in (
+            ("--num-degree", "1", "--den-degree", "0"),
+            ("--num-degree", "1"),
+            ("--den-degree", "0"),
+        ):
+            code, out, err = run(capsys, *base, *flags)
+            assert code == 2
+            assert out == ""
+            assert err == f"binsum: error: unrecognized arguments: {' '.join(flags)}\n"
+        code, out, _ = run(capsys, *base, "--reconstruct")
+        assert code == 0
+        assert out == "(1 + z - 3*z^2)/(1 - 3*z)^3\n"
+
+    def test_c_family_reconstruct_degrees_too_low(self, capsys, monkeypatch):
+        base = ("gf", "--family", "C", "--J", "3", "--q", "2", "--reconstruct")
+        code, out, err = run(capsys, *base, "--den-degree", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "binsum: error: unrecognized arguments: --den-degree 1\n"
+        # C(3, 2; x) has order 4, so eight terms are one short of fixing it
+        monkeypatch.setattr(
+            cli, "reconstruct_rational", lambda s: genfunc.reconstruct_rational(s[:8])
+        )
+        code, out, err = run(capsys, *base)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "binsum: error: need at least 9 terms to fit a recurrence of order 4, got 8\n"
+        )
+
     def test_c_family_reconstruct(self, capsys):
         code, out, err = run(
             capsys, "gf", "--family", "C", "--J", "2", "--q", "2", "--reconstruct"
