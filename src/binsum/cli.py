@@ -197,14 +197,14 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _family_params(args) -> tuple:
-    """The family's (k or J, q), with an integral q as int; family c/C needs integer q."""
-    family = args.family
-    if family in ("c", "C"):
-        _require(args.J is not None and args.q is not None, f"family {family} requires --J and --q")
-        _require(args.q.denominator == 1, f"family {family} requires integer q")
-        return args.J, int(args.q)
-    _require(args.k is not None and args.q is not None, f"family {family} requires --k and --q")
-    return args.k, int(args.q) if args.q.denominator == 1 else args.q
+    """The family's (k or J, q), with an integral q as int."""
+    name = "J" if args.family in ("c", "C") else "k"
+    k_or_J = getattr(args, name)
+    _require(
+        k_or_J is not None and args.q is not None,
+        f"family {args.family} requires --{name} and --q",
+    )
+    return k_or_J, int(args.q) if args.q.denominator == 1 else args.q
 
 
 def _seq_values(args) -> list:
@@ -263,8 +263,10 @@ def _build_gf(args) -> tuple[RationalGF, str]:
         series = [evaluate(k_or_J, q, n) for n in range(2 * k_or_J + 5)]
         return reconstruct_rational(series), variable
 
+    # B_gf's inner bottom q*i - 1 needs integer q; C_gf_stirling is a
+    # polynomial in q, so any rational q >= 0 will do
     hint = " (or --reconstruct)" if args.command == "gf" else ""
-    _require(q.denominator == 1, f"family {family} requires integer q{hint}")
+    _require(family == "C" or q.denominator == 1, f"family {family} requires integer q{hint}")
     build = {"A": A_gf, "B": B_gf, "C": C_gf_stirling}[family]
     return build(k_or_J, q), variable
 

@@ -130,16 +130,19 @@ def power_sum_gf(n: int) -> RationalGF:
     return _geometric_gf(omega_poly(n), n)
 
 
-def C_gf_stirling(J: int, q: int) -> RationalGF:
+def C_gf_stirling(J: int, q: Scalar) -> RationalGF:
     """Generating function of c(J, q; i) via geometric polynomials.
 
     C(J, q; z) = (1/J!) sum_{t=0..J} [1/(1-z)] omega_t(z/(1-z)) q^t
                  * (-1)^(J+t) s(J+1, t+1)
 
-    with s the signed Stirling numbers of the first kind.  The substitution
-    z -> z/(1-z) is linear, so the sum is taken first: with w_t the weight of
-    term t, W(z) = (1/J!) sum_t w_t omega_t(z) is one polynomial of degree
-    <= J, substituted once as (1-z)^J W(z/(1-z)) over (1-z)^(J+1).
+    with s the signed Stirling numbers of the first kind.  The Stirling
+    identity behind it is polynomial in q, so it holds at rational q too.
+
+    The substitution z -> z/(1-z) is linear, so the sum is taken first: with
+    w_t the weight of term t, W(z) = (1/J!) sum_t w_t omega_t(z) is one
+    polynomial of degree <= J, substituted once as (1-z)^J W(z/(1-z)) over
+    (1-z)^(J+1).
     """
     if J < 0 or q < 0:
         raise ValueError("J and q must be nonnegative")

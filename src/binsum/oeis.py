@@ -35,6 +35,8 @@ __all__ = [
 
 _ID_PATTERN = re.compile(r"\AA\d{6,7}\Z")
 _BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
+# seconds a b-file fetch may wait on the network
+_FETCH_TIMEOUT = 10.0
 _INT_FIELD = re.compile(r"[+-]?\d+")
 
 # agreeing terms a comparison needs before it counts as a match
@@ -125,7 +127,6 @@ def fetch_bfile(
     *,
     offline: bool = False,
     cache_dir: Optional[str] = None,
-    timeout: float = 10.0,
 ) -> list[tuple[int, int]]:
     """Return the sequence's reference terms as (index, value) pairs.
 
@@ -163,7 +164,7 @@ def fetch_bfile(
         digits = oeis_id[1:]
         url = _BFILE_URL.format(id=oeis_id, digits=digits)
         try:
-            with urllib.request.urlopen(url, timeout=timeout) as response:
+            with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT) as response:
                 data = response.read()
         except (urllib.error.URLError, OSError, TimeoutError) as exc:
             raise TransportError(f"could not fetch {url}: {exc}") from exc

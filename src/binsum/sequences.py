@@ -72,8 +72,11 @@ def a_double_sum(k: int, q: Scalar, m: int) -> Scalar:
 def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
     """Single-sum reduction: sum_i (-1)^(m-i) C(m,i) C(k+(q+1)i, k+m).
 
-    Equals a_double_sum for integer q; for rational q the agreement is an
-    observation the verifier reports, not a guarantee.
+    Equals a_double_sum for every rational q >= 0.  The paper proves the
+    two equal at integer q >= 0.  For fixed k and m both are polynomials in
+    q, because C(top, bottom) with integer bottom is a polynomial in top,
+    so their difference is a polynomial with infinitely many zeros, hence
+    zero (Kauers & Paule, The Concrete Tetrahedron, ch. 4).
     """
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
@@ -111,10 +114,14 @@ def b_k1_closed(k: int, j: int) -> int:
     return binomial(-k - 1, j)
 
 
-def c_direct(J: int, q: int, i: int) -> int:
-    """The stepped binomial c(J, q; i) = C(J + q*i, J)."""
+def c_direct(J: int, q: Scalar, i: int) -> Scalar:
+    """The stepped binomial c(J, q; i) = C(J + q*i, J).  Rational q is allowed.
+
+    An int q skips _check_q, whose Fraction round trip nearly doubles the
+    cost of a b-file's worth of small terms.
+    """
     _check_nonnegative("J", J)
-    _check_nonnegative("q", q)
+    q = _check_nonnegative("q", q) if type(q) is int else _check_q(q)
     _check_nonnegative("i", i)
     return binomial(J + q * i, J)
 

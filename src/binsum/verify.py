@@ -32,6 +32,7 @@ from .genfunc import (
     power_sum_gf,
     reconstruct_rational,
     recurrence_from_gf,
+    recurrence_terms,
     stirling_binomial_transform_check,
     stirling_omega_identity_check,
 )
@@ -98,7 +99,7 @@ class CaseResult:
     inputs: tuple[tuple[str, str], ...]
     expected: str
     actual: str
-    status: str  # "pass" | "fail" | "experimental"
+    status: str  # "pass" | "fail"
     provenance: str
 
     def to_dict(self) -> dict:
@@ -120,7 +121,7 @@ class VerificationReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        totals = {"pass": 0, "fail": 0, "experimental": 0}
+        totals = {"pass": 0, "fail": 0}
         for case in self.cases:
             totals[case.status] += 1
         return totals
@@ -147,7 +148,6 @@ def _cases(
     expected: str,
     provenance: str,
     grid: Iterable[tuple[str, dict, tuple]],
-    experimental: bool = False,
 ) -> list[CaseResult]:
     """One case per (case_id, inputs, args) row of the grid.
 
@@ -160,14 +160,13 @@ def _cases(
             complaint = check(*args)
         except Exception as exc:
             complaint = f"{type(exc).__name__}: {exc}"
-        status = "experimental" if experimental else ("pass" if complaint is None else "fail")
         cases.append(
             CaseResult(
                 case_id,
                 tuple((key, str(value)) for key, value in inputs.items()),
                 expected,
                 expected if complaint is None else complaint,
-                status,
+                "pass" if complaint is None else "fail",
                 provenance,
             )
         )
@@ -236,8 +235,8 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
     ks = range(bounds.k_max + 1)
     m_range = f"0..{bounds.m_max}"
     j_range = f"0..{bounds.j_max}"
-    # the series-fit machinery works for rational q where the algebraic GF
-    # derivation does not apply; recorded but never gating
+    # gates like the rest: a_single_sum is what gf --family A --reconstruct
+    # reads at rational q
     k_top, m_top = min(bounds.k_max, 3), min(bounds.m_max, 10)
     return (
         _cases(
@@ -283,7 +282,6 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
                 )
                 for q in (Fraction(1, 2), Fraction(3, 2))
             ],
-            experimental=True,
         )
     )
 
@@ -371,7 +369,9 @@ def _check_denominator(k: int, q: int) -> Optional[str]:
     return None
 
 
-def _check_fidelity(build, evaluate, k: int, q: int, horizon: int) -> Optional[str]:
+def _check_fidelity(
+    family: str, build, evaluate, k: int, q: int, horizon: int
+) -> Optional[str]:
     gf = build(k, q)
     rec = recurrence_from_gf(gf)
     direct = [Fraction(evaluate(k, q, n)) for n in range(horizon)]
@@ -379,6 +379,9 @@ def _check_fidelity(build, evaluate, k: int, q: int, horizon: int) -> Optional[s
         return "series of the rational function diverges from the evaluator"
     if rec.terms(horizon) != direct:
         return f"recurrence (order {rec.order}) diverges from the evaluator"
+    # seq's default route, which unrolls the paper's annihilator from k+1 seeds
+    if recurrence_terms(family, k, q, horizon) != direct:
+        return f"unrolled annihilator (order {k + 1}) diverges from the evaluator"
     return None
 
 
@@ -455,7 +458,7 @@ def _tables_cases(bounds: Bounds) -> list[CaseResult]:
                 (
                     f"tables/recurrence-fidelity/{tag}-k{k}-q{q}",
                     dict(family=tag, k=k, q=q, index_range=f"0..{horizon - 1}"),
-                    (build, evaluate, k, q, horizon),
+                    (tag, build, evaluate, k, q, horizon),
                 )
                 for tag, build, evaluate in families
                 for k in range(bounds.k_max + 1)
@@ -526,14 +529,14 @@ def _check_involution(k: int, q: int) -> Optional[str]:
 
 
 def _identities_cases(bounds: Bounds) -> list[CaseResult]:
-    j_top = min(bounds.j_max, 12)
     return (
         _cases(
             _check_zero_sum,
             "alternating binomial sum vanishes",
             PROVENANCE_IDENTITY,
             [
-                (f"identities/zero-sum/q{q}", dict(q=q, j_range=f"0..{j_top}"), (q, j_top))
+                (f"identities/zero-sum/q{q}", dict(q=q, j_range=f"0..{bounds.j_max}"),
+                 (q, bounds.j_max))
                 for q in range(1, 7)
             ],
         )
@@ -551,7 +554,7 @@ def _identities_cases(bounds: Bounds) -> list[CaseResult]:
             "powers rebuilt from set-partition counts",
             PROVENANCE_IDENTITY,
             [
-                (f"identities/power-stirling/n{n:02d}", dict(n=n, base_range="0..8"), (n, 8))
+                (f"identities/power-stirling/n{n:02d}", dict(n=n, base_range="0..12"), (n, 12))
                 for n in range(11)
             ],
         )

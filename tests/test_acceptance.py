@@ -148,7 +148,11 @@ def test_criterion_06_denominator_structure(capsys):
 def test_criterion_07_recurrence_fidelity(capsys):
     failures = _failures(
         verify._check_fidelity,
-        [(f"k={k} q={q}", (A_gf, a_double_sum, k, q, 41)) for k in range(6) for q in range(6)],
+        [
+            (f"k={k} q={q}", ("a", A_gf, a_double_sum, k, q, 41))
+            for k in range(6)
+            for q in range(6)
+        ],
     )
     _verdict(capsys, "recurrence-fidelity", failures)
 
@@ -197,7 +201,7 @@ def test_criterion_09_roundtrip(capsys):
 
 # sha256 of the full offline report at default bounds; a change to its bytes
 # must be deliberate
-PINNED_REPORT_SHA256 = "0071333cb041af6b02ca604587477c8b407d87373d9c41b1a9b2548ec5cc30c1"
+PINNED_REPORT_SHA256 = "f6076ab4a0b5e1dd32accaee969a87753b9cfbc295c2db4601318dc74e640711"
 
 
 def test_criterion_10_determinism(capsys, monkeypatch, tmp_path):

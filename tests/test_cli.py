@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from binsum import cli, genfunc
+from binsum.combinatorics import binomial
 from binsum.cli import main
 from binsum.oeis import parse_bfile
 from binsum.sequences import c_direct
@@ -218,9 +219,14 @@ class TestSeq:
         assert code == 2
         assert "rational literal" in err
 
-    def test_c_family_needs_integer_q(self, capsys):
-        code, _, err = run(capsys, "seq", "--family", "c", "--J", "2", "--q", "1/2")
-        assert code == 2
+    def test_c_family_at_rational_q(self, capsys):
+        # c(2, 1/2; i) = C(2 + i/2, 2), a polynomial in i at any q
+        code, out, err = run(
+            capsys, "seq", "--family", "c", "--J", "2", "--q", "1/2", "--n-max", "6"
+        )
+        assert (code, err) == (0, "")
+        assert out == "1 15/8 3 35/8 6 63/8\n"
+        assert out.split() == [str(binomial(2 + Fraction(i, 2), 2)) for i in range(6)]
 
     def test_unsupported_route(self, capsys):
         code, _, err = run(
@@ -250,6 +256,17 @@ class TestGf:
         code, out, _ = run(capsys, "gf", "--family", "C", "--J", "2", "--q", "5")
         assert code == 0
         assert out == "(1 + 18*x + 6*x^2)/(1 - x)^3\n"
+
+    def test_c_family_at_rational_q(self, capsys):
+        # the Stirling construction is polynomial in q, so it needs no fit
+        base = ("gf", "--family", "C", "--J", "3", "--q", "7/3")
+        code, built, err = run(capsys, *base)
+        assert (code, err) == (0, "")
+        assert built == "(81 + 716*x + 236*x^2 - 4*x^3)/(81*(1 - x)^4)\n"
+        assert run(capsys, *base, "--reconstruct") == (0, built, "")
+        code, out, _ = run(capsys, "recur", "--family", "C", "--J", "2", "--q", "1/2")
+        assert code == 0
+        assert out == "order 3: c(n) = 3*c(n-1) - 3*c(n-2) + c(n-3), init 1, 15/8, 3\n"
 
     def test_reconstruct_fractional(self, capsys):
         code, out, _ = run(

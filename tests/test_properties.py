@@ -19,13 +19,14 @@ from hypothesis import strategies as st  # noqa: E402
 from binsum.combinatorics import binomial  # noqa: E402
 from binsum.errors import NeedsMoreTermsError  # noqa: E402
 from binsum.genfunc import (  # noqa: E402
+    C_gf_stirling,
     binomial_transform_gf,
     reconstruct_rational,
     recurrence_from_gf,
     recurrence_terms,
 )
 from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
-from binsum.sequences import a_double_sum, a_single_sum, b_direct  # noqa: E402
+from binsum.sequences import a_double_sum, a_single_sum, b_direct, c_direct  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -305,3 +306,24 @@ def test_recurrence_route_for_b(k, q, n, far):
     assert terms[:26] == [b_direct(k, q, j) for j in range(26)]
     for j in far + [299]:
         assert terms[j] == b_direct(k, q, j)
+
+
+# Rational q.  For fixed k and index every term is a polynomial in q, so
+# what holds at every integer q >= 0 holds at every rational q >= 0.
+rational_q = st.builds(
+    Fraction, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=7)
+)
+
+
+@SETTINGS
+@given(rational_q, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10))
+def test_single_sum_is_the_double_sum_at_rational_q(q, k, m):
+    assert a_single_sum(k, q, m) == a_double_sum(k, q, m)
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=8), rational_q)
+def test_c_construction_is_the_fit_at_rational_q(J, q):
+    # order J + 1 needs 2J + 3 terms; two more are spares the fit reproduces
+    series = [c_direct(J, q, i) for i in range(2 * J + 5)]
+    assert C_gf_stirling(J, q) == reconstruct_rational(series)

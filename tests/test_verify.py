@@ -1,5 +1,7 @@
 """Verification harness: suite execution, report shape, determinism."""
 
+from fractions import Fraction
+
 import pytest
 
 from binsum.polynomials import Polynomial
@@ -16,13 +18,6 @@ class TestReportShape:
         failing = VerificationReport("x", (make_case("a", "pass"), make_case("b", "fail")))
         assert passing.status == "pass"
         assert failing.status == "fail"
-
-    def test_experimental_never_gates(self):
-        report = VerificationReport(
-            "x", (make_case("a", "pass"), make_case("b", "experimental"))
-        )
-        assert report.status == "pass"
-        assert report.counts == {"pass": 1, "fail": 0, "experimental": 1}
 
     def test_to_dict_shape(self):
         report = VerificationReport("x", (make_case("a", "pass"),))
@@ -44,9 +39,8 @@ class TestRunSuite:
     def test_formulas_small_grid(self):
         report = run_suite("formulas", Bounds(k_max=3, q_max=3, m_max=15, j_max=10))
         assert report.status == "pass"
-        assert report.counts["fail"] == 0
-        # rational-q cases are reported but do not gate
-        assert report.counts["experimental"] == 2
+        # the two rational-q cases gate like every other case
+        assert report.counts == {"pass": len(report.cases), "fail": 0}
 
     def test_identities(self):
         report = run_suite("identities", Bounds(j_max=12))
@@ -133,6 +127,42 @@ class TestFailureText:
         a_case = cases["formulas/a-agreement/k1-q2"]
         assert a_case.status == "fail"
         assert a_case.actual == "m=2: alternating-b gave 28, double sum gave 27"
+
+    def test_wrong_single_sum_at_rational_q_fails(self, monkeypatch):
+        # gf --family A --reconstruct reads a_single_sum at rational q, so a
+        # wrong value there must fail the report, not be recorded beside it
+        import binsum.verify as verify_mod
+
+        real = verify_mod.a_single_sum
+        monkeypatch.setattr(
+            verify_mod,
+            "a_single_sum",
+            lambda k, q, m: real(k, q, m) + (q == Fraction(1, 2) and (k, m) == (1, 4)),
+        )
+        report = run_suite("formulas", Bounds(k_max=2, q_max=0, m_max=6, j_max=0))
+        assert report.status == "fail"
+        assert report.counts["fail"] == 1
+        case = cases_by_id(report)["formulas/rational-q/a-agreement/q1-2"]
+        assert case.status == "fail"
+        assert case.actual == "k=1, m=4: single sum gave 89/8, alternating b gave 81/8"
+
+    def test_wrong_recurrence_route_fails_fidelity(self, monkeypatch):
+        # seq's default route is checked past its k+1 seed terms
+        import binsum.verify as verify_mod
+
+        real = verify_mod.recurrence_terms
+
+        def bumped(family, k, q, n):
+            terms = real(family, k, q, n)
+            if (family, k, q) == ("b", 2, 3):
+                terms[k + 5] += 1
+            return terms
+
+        monkeypatch.setattr(verify_mod, "recurrence_terms", bumped)
+        report = run_suite("tables", Bounds(k_max=2, q_max=3))
+        failed = [case for case in report.cases if case.status == "fail"]
+        assert [case.case_id for case in failed] == ["tables/recurrence-fidelity/b-k2-q3"]
+        assert failed[0].actual == "unrolled annihilator (order 3) diverges from the evaluator"
 
     def test_triangle_row_mismatch(self, monkeypatch, tmp_path):
         import binsum.verify as verify_mod
