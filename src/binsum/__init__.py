@@ -36,6 +36,7 @@ from .genfunc import (
     CFiniteRecurrence,
     binomial_transform_gf,
     omega_poly,
+    paper_gf,
     power_sum_gf,
     reconstruct_rational,
     recurrence_from_gf,
@@ -104,6 +105,7 @@ __all__ = [
     "multinomial",
     "normalize_scalar",
     "omega_poly",
+    "paper_gf",
     "parse_bfile",
     "pochhammer",
     "power_sum_gf",

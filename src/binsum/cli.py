@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 from . import oeis as oeis_mod
 from .errors import BFileParseError
 from .genfunc import (
-    A_gf,
-    B_gf,
-    C_gf_stirling,
+    paper_gf,
+    paper_seed,
     reconstruct_rational,
     recurrence_from_gf,
     recurrence_terms,
@@ -197,13 +196,15 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _family_params(args) -> tuple:
-    """The family's (k or J, q), with an integral q as int."""
-    name = "J" if args.family in ("c", "C") else "k"
+    """The family's (k or J, q), with an integral q as int; the other
+    family's parameter is refused rather than echoed."""
+    name, other = ("J", "k") if args.family in ("c", "C") else ("k", "J")
     k_or_J = getattr(args, name)
     _require(
         k_or_J is not None and args.q is not None,
         f"family {args.family} requires --{name} and --q",
     )
+    _require(getattr(args, other) is None, f"family {args.family} takes --{name}, not --{other}")
     return k_or_J, int(args.q) if args.q.denominator == 1 else args.q
 
 
@@ -252,23 +253,16 @@ def _cmd_seq(args) -> int:
 
 def _build_gf(args) -> tuple[RationalGF, str]:
     """Return the requested function and its display variable."""
-    family = args.family
+    family = args.family.lower()
     k_or_J, q = _family_params(args)
-    variable = "x" if family == "C" else "z"
-    # built per call, so the functions are the ones the module holds now
+    variable = "x" if family == "c" else "z"
     if getattr(args, "reconstruct", False):
-        evaluate = {"A": a_single_sum, "B": b_direct, "C": c_direct}[family]
+        evaluate, _ = paper_seed(family, q)
         # the paper's order bound k + 1 (J + 1 for C) needs 2k + 3 terms;
         # two more are spares the fit must reproduce
         series = [evaluate(k_or_J, q, n) for n in range(2 * k_or_J + 5)]
         return reconstruct_rational(series), variable
-
-    # B_gf's inner bottom q*i - 1 needs integer q; C_gf_stirling is a
-    # polynomial in q, so any rational q >= 0 will do
-    hint = " (or --reconstruct)" if args.command == "gf" else ""
-    _require(family == "C" or q.denominator == 1, f"family {family} requires integer q{hint}")
-    build = {"A": A_gf, "B": B_gf, "C": C_gf_stirling}[family]
-    return build(k_or_J, q), variable
+    return paper_gf(family, k_or_J, q), variable
 
 
 def _cmd_gf(args) -> int:
@@ -309,6 +303,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oeis(args) -> int:
     oeis_mod.validate_oeis_id(args.id)
     if args.compare:
+        _require(args.max_terms is None, "--max-terms applies to a fetch, not to --compare")
         mapping = oeis_mod.mapping_for(args.id)
         _require(mapping is not None, f"no known mapping for {args.id}")
         result = compare_pinned(mapping, offline=args.offline)

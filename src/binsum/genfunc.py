@@ -10,6 +10,10 @@ C(J, q; z) generates c(J, q; i) and is assembled from the geometric
 polynomials omega_n (power-sum numerators) weighted by signed Stirling
 numbers of the first kind.
 
+Those are the paper's constructions.  Its theorem fixes the shape of all
+three functions, P(z)/(1 - r z)^(k+1) with deg P <= k, so paper_gf builds
+each from k+1 terms instead; the constructions are its references.
+
 The module also reconstructs rational functions from series prefixes,
 finding the shortest recurrence by fraction-free Berlekamp-Massey over the
 integers, and reads off C-finite recurrences from denominators.
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import (
     Scalar,
@@ -33,7 +37,14 @@ from .combinatorics import (
 )
 from .errors import NeedsMoreTermsError, NoRationalFitError, NotAPowerSeriesError
 from .polynomials import Polynomial, RationalGF, render_terms, substitute_cleared
-from .sequences import _check_nonnegative, _require_integer_q, a_single_sum, b_direct
+from .sequences import (
+    _check_nonnegative,
+    _check_q,
+    _require_integer_q,
+    a_single_sum,
+    b_direct,
+    c_direct,
+)
 
 
 def B_gf(k: int, q: int) -> RationalGF:
@@ -236,27 +247,60 @@ class CFiniteRecurrence:
         return f"{symbol}(n) = {summed}"
 
 
-def recurrence_terms(family: str, k: int, q: int, n: int) -> list[int]:
-    """First n terms of a(k, q; .) (family "a") or b(k, q; .) (family "b")
-    for integer q >= 0, unrolled from the closed-form annihilator.
+def paper_seed(family: str, q: Scalar) -> tuple[Callable[[int, Scalar, int], Scalar], Scalar]:
+    """The seed evaluator of family "a", "b" or "c" and the r of its
+    denominator (1 - r z)^(k+1), with J in place of k for c.
 
     B_gf's Horner build leaves a numerator N of degree <= k over
     (1+qz)^(k+1), and the binomial transform turns that into
-    (1-z)^k N(-z/(1-z)) over (1-(q+1)z)^(k+1), again of degree <= k.  So
-    both sequences have a generating function P(z)/(1 - r z)^(k+1) with
-    deg P < k+1, where r = q+1 for a and r = -q for b, and
-    (1 - r E^-1)^(k+1) annihilates them from index k+1 on, for every q >= 0
-    (at q = 0, b is a polynomial and r = 0 makes every later term zero).
-    The first k+1 terms come from a_single_sum or b_direct; each later one
-    is sum_{i=1..k+1} -C(k+1, i) (-r)^i s(n-i), k+1 integer multiply-adds,
-    with no Polynomial or RationalGF built.  When n <= k+1 the seeds are
-    the answer and the coefficients, up to k+1 ints of O(k log(k r)) bits,
-    are not built.
+    (1-z)^k N(-z/(1-z)) over (1-(q+1)z)^(k+1), again of degree <= k.
+    c(J, q; i) = C(J + q i, J) is a polynomial of degree <= J in i, so its
+    function is a numerator of degree <= J over (1-z)^(J+1).  So every
+    family has a generating function P(z)/(1 - r z)^(k+1) with deg P < k+1,
+    where r = q+1 for a, r = -q for b and r = 1 for c, and
+    (1 - r E^-1)^(k+1) annihilates it from index k+1 on (at q = 0, b is a
+    polynomial and r = 0 makes every later term zero).  That holds at every
+    integer q >= 0, and for fixed k and index each term is a polynomial in
+    q (see a_single_sum), so it holds at every rational q >= 0 too.
+    """
+    # built per call, so the evaluators are the ones the module holds now
+    return {"a": (a_single_sum, q + 1), "b": (b_direct, -q), "c": (c_direct, 1)}[family]
+
+
+def paper_gf(family: str, k: int, q: Scalar) -> RationalGF:
+    """Generating function of family "a", "b" or "c" (J in place of k for c)
+    from its first k+1 terms.
+
+    With the form P(z)/(1 - r z)^(k+1), deg P <= k, of paper_seed, the seed
+    terms s fix P = (s * (1 - r z)^(k+1)) mod z^(k+1) (Stanley, Enumerative
+    Combinatorics I, Thm 4.1.1): k+1 evaluations and O(k^2) multiply-adds.
+    RationalGF puts the quotient in canonical form, so common factors
+    (all of them for b at q = 0) cancel.  A_gf, B_gf and C_gf_stirling are
+    the paper's constructions of the same functions.
+    """
+    _check_nonnegative("k", k)
+    seed, r = paper_seed(family, q)
+    order = k + 1
+    terms = [seed(k, q, n) for n in range(order)]
+    weights = [math.comb(order, i) * (-r) ** i for i in range(order)]
+    numerator = [sum(weights[i] * terms[j - i] for i in range(j + 1)) for j in range(order)]
+    return RationalGF(numerator, Polynomial([1, -r]) ** order)
+
+
+def recurrence_terms(family: str, k: int, q: Scalar, n: int) -> list[Scalar]:
+    """First n terms of family "a", "b" or "c" (J in place of k for c) at
+    rational q >= 0, unrolled from the annihilator (1 - r E^-1)^(k+1).
+
+    The first k+1 terms come from paper_seed's evaluator; each later one is
+    sum_{i=1..k+1} -C(k+1, i) (-r)^i s(n-i), k+1 multiply-adds, with no
+    Polynomial or RationalGF built.  When n <= k+1 the seeds are the answer
+    and the coefficients, up to k+1 numbers of O(k log(k r)) bits, are not
+    built.
     """
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
-    q = _require_integer_q(q, "recurrence_terms")
-    seed, r = {"a": (a_single_sum, q + 1), "b": (b_direct, -q)}[family]
+    q = _check_q(q)
+    seed, r = paper_seed(family, q)
     order = k + 1
     initial = [seed(k, q, m) for m in range(min(n, order))]
     if n <= order:

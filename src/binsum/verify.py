@@ -29,6 +29,7 @@ from .genfunc import (
     C_gf_stirling,
     binomial_transform_gf,
     omega_poly,
+    paper_gf,
     power_sum_gf,
     reconstruct_rational,
     recurrence_from_gf,
@@ -314,6 +315,9 @@ def _check_b_row(row) -> Optional[str]:
         return complaint
     if gf.series(length) != series:
         return "expansion of the tabulated function diverges from the terms"
+    seeded = paper_gf("b", row.k, row.q)
+    if seeded != gf:
+        return f"built from k+1 seed terms {seeded.render()}, table lists {gf.render()}"
     refit = reconstruct_rational(series)
     if refit != gf:
         return f"series fit returned {refit.render()}, table lists {gf.render()}"
@@ -339,6 +343,9 @@ def _check_c_row(row) -> Optional[str]:
     got_gf = C_gf_stirling(row.J, row.q)
     if got_gf != want_gf:
         return f"constructed {got_gf.render('x')}, table lists {want_gf.render('x')}"
+    seeded = paper_gf("c", row.J, row.q)
+    if seeded != want_gf:
+        return f"built from J+1 seed terms {seeded.render('x')}, table lists {want_gf.render('x')}"
     if got_gf.series(len(row.terms)) != [Fraction(t) for t in row.terms]:
         return "expansion of the constructed function diverges from the terms"
     return None
@@ -377,6 +384,11 @@ def _check_fidelity(
     direct = [Fraction(evaluate(k, q, n)) for n in range(horizon)]
     if gf.series(horizon) != direct:
         return "series of the rational function diverges from the evaluator"
+    # gf and recur's route reads only k+1 terms, so matching the construction,
+    # whose series was just checked to the horizon, is what proves it
+    seeded = paper_gf(family, k, q)
+    if seeded != gf:
+        return f"built from k+1 seed terms {seeded.render()}, constructed {gf.render()}"
     if rec.terms(horizon) != direct:
         return f"recurrence (order {rec.order}) diverges from the evaluator"
     # seq's default route, which unrolls the paper's annihilator from k+1 seeds

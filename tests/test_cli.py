@@ -291,9 +291,28 @@ class TestGf:
         assert doc["terms"] is None
 
     def test_integer_q_required_without_reconstruct(self, capsys):
-        code, _, err = run(capsys, "gf", "--family", "B", "--k", "1", "--q", "1/2")
-        assert code == 2
-        assert err == "binsum: error: family B requires integer q (or --reconstruct)\n"
+        # integer q is not required: the paper's denominators hold at every
+        # rational q, so the function built from k+1 terms is the fit's
+        code, out, err = run(capsys, "gf", "--family", "B", "--k", "1", "--q", "1/2")
+        assert (code, err) == (0, "")
+        assert out == "(8 + z)/(2*(2 + z)^2)\n"
+        for family in "AB":
+            for q in ("1/2", "7/3"):
+                base = ("gf", "--family", family, "--k", "3", "--q", q, "--format", "json")
+                built = run(capsys, *base)
+                assert built[0] == 0
+                assert built == run(capsys, *base, "--reconstruct")
+
+    def test_other_family_parameter_is_refused(self, capsys):
+        for argv, message in (
+            (("gf", "--family", "C", "--J", "2", "--k", "7"), "family C takes --J, not --k"),
+            (("gf", "--family", "A", "--k", "2", "--J", "7"), "family A takes --k, not --J"),
+            (("recur", "--family", "B", "--k", "1", "--J", "0"), "family B takes --k, not --J"),
+            (("seq", "--family", "a", "--k", "2", "--J", "5", "--format", "json"),
+             "family a takes --k, not --J"),
+            (("seq", "--family", "c", "--J", "2", "--k", "5"), "family c takes --J, not --k"),
+        ):
+            assert run(capsys, *argv, "--q", "1") == (2, "", f"binsum: error: {message}\n")
 
     def test_degree_flags_are_usage_errors(self, capsys):
         # the fit finds the order itself, so the old degree options are gone
@@ -364,11 +383,10 @@ class TestRecur:
         assert out.startswith("order 2:")
 
     def test_integer_q_required(self, capsys):
-        # recur has no --reconstruct, so the error must not suggest it
-        code, out, err = run(capsys, "recur", "--family", "B", "--k", "1", "--q", "1/2")
-        assert code == 2
-        assert out == ""
-        assert err == "binsum: error: family B requires integer q\n"
+        # integer q is not required: A(1, 1/2; z) = (8 - 9z)/(2 (2 - 3z)^2)
+        code, out, err = run(capsys, "recur", "--family", "A", "--k", "1", "--q", "1/2")
+        assert (code, err) == (0, "")
+        assert out == "order 2: a(n) = 3*a(n-1) - 9/4*a(n-2), init 1, 15/8\n"
 
     def test_json(self, capsys):
         code, out, _ = run(
@@ -429,6 +447,15 @@ class TestOeis:
         code, out, _ = run(capsys, "oeis", "--id", "A361610", "--offline", "--compare")
         assert code == 0
         assert "match" in out
+
+    def test_compare_refuses_max_terms(self, capsys, monkeypatch, tmp_path):
+        # the comparison reads every pinned term, so a cap would be ignored
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+        code, out, err = run(
+            capsys, "oeis", "--id", "A027471", "--compare", "--offline", "--max-terms", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "binsum: error: --max-terms applies to a fetch, not to --compare\n"
 
     def test_invalid_id(self, capsys):
         code, _, err = run(capsys, "oeis", "--id", "X123")

@@ -19,6 +19,7 @@ from binsum.genfunc import (
     C_gf_stirling,
     binomial_transform_gf,
     omega_poly,
+    paper_gf,
     power_sum_gf,
     reconstruct_rational,
     recurrence_from_gf,
@@ -60,16 +61,6 @@ def _C_gf_per_t(J, q):
         weight = q**t * (-1) ** (J + t) * stirling1_signed(J + 1, t + 1)
         numerator = numerator + weight * omega_num * one_minus ** (J - t)
     return RationalGF(numerator, factorial(J) * one_minus ** (J + 1))
-
-
-def _C_gf_from_seeds(J, q):
-    """Reference with no Stirling numbers: c(J, q; i) = C(J+qi, J) is a
-    polynomial of degree <= J in i, so (1-x)^(J+1) annihilates it and the
-    numerator is the first J+1 terms times (1-x)^(J+1), truncated below
-    x^(J+1)."""
-    denominator = Polynomial([1, -1]) ** (J + 1)
-    seeds = Polynomial([c_direct(J, q, i) for i in range(J + 1)])
-    return RationalGF((seeds * denominator).coefficients[: J + 1], denominator)
 
 
 def test_gf_series_examples():
@@ -204,7 +195,7 @@ class TestCgf:
     def test_matches_seed_reference_at_large_J(self):
         for J in (11, 17, 24, 33, 45, 60):
             for q in range(6):
-                reference = _C_gf_from_seeds(J, q)
+                reference = paper_gf("c", J, q)
                 n = J + 11
                 assert reference.series(n) == [c_direct(J, q, i) for i in range(n)], (J, q)
                 assert C_gf_stirling(J, q) == reference, (J, q)
@@ -214,6 +205,20 @@ class TestCgf:
         monkeypatch.setattr(combinatorics, "_ROWS", defaultdict(lambda: {0: (1,)}))
         C_gf_stirling(60, 1)
         assert "stirling2" not in combinatorics._ROWS
+
+
+class TestPaperGf:
+    """The function built from k+1 seed terms against the paper's constructions."""
+
+    def test_a_construction_at_size(self):
+        assert A_gf(40, 3) == paper_gf("a", 40, 3)
+
+    def test_c_construction_at_size_and_rational_q(self):
+        assert C_gf_stirling(60, Fraction(7, 3)) == paper_gf("c", 60, Fraction(7, 3))
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            paper_gf("a", -1, 2)
 
 
 class TestC2:

@@ -19,8 +19,12 @@ from hypothesis import strategies as st  # noqa: E402
 from binsum.combinatorics import binomial  # noqa: E402
 from binsum.errors import NeedsMoreTermsError  # noqa: E402
 from binsum.genfunc import (  # noqa: E402
+    A_gf,
+    B_gf,
     C_gf_stirling,
     binomial_transform_gf,
+    paper_gf,
+    paper_seed,
     reconstruct_rational,
     recurrence_from_gf,
     recurrence_terms,
@@ -327,3 +331,33 @@ def test_c_construction_is_the_fit_at_rational_q(J, q):
     # order J + 1 needs 2J + 3 terms; two more are spares the fit reproduces
     series = [c_direct(J, q, i) for i in range(2 * J + 5)]
     assert C_gf_stirling(J, q) == reconstruct_rational(series)
+
+
+# The function built from k+1 seed terms reads nothing past index k, so it
+# is checked against the paper's constructions, the fit and the defining
+# sums past there.
+families = st.sampled_from("abc")
+
+
+@SETTINGS
+@given(families, family_k, family_q)
+def test_seeded_function_is_the_construction(family, k, q):
+    build = {"a": A_gf, "b": B_gf, "c": C_gf_stirling}[family]
+    assert paper_gf(family, k, q) == build(k, q)
+
+
+@SETTINGS
+@given(families, st.integers(min_value=0, max_value=6), rational_q)
+def test_seeded_function_is_the_fit_at_rational_q(family, k, q):
+    evaluate, _ = paper_seed(family, q)
+    series = [evaluate(k, q, n) for n in range(2 * k + 5)]
+    assert paper_gf(family, k, q) == reconstruct_rational(series)
+
+
+@SETTINGS
+@given(st.sampled_from("ab"), st.integers(min_value=0, max_value=4), rational_q)
+def test_seeded_routes_are_the_defining_sums_at_rational_q(family, k, q):
+    define = {"a": a_double_sum, "b": b_direct}[family]
+    direct = [define(k, q, n) for n in range(26)]
+    assert paper_gf(family, k, q).series(26) == direct
+    assert recurrence_terms(family, k, q, 26) == direct

@@ -164,6 +164,31 @@ class TestFailureText:
         assert [case.case_id for case in failed] == ["tables/recurrence-fidelity/b-k2-q3"]
         assert failed[0].actual == "unrolled annihilator (order 3) diverges from the evaluator"
 
+    def test_wrong_seeded_function_fails(self, monkeypatch):
+        # gf and recur's function reads only k+1 terms, so the construction
+        # and the b table must catch a wrong one
+        import binsum.verify as verify_mod
+
+        real = verify_mod.paper_gf
+
+        def bumped(family, k, q):
+            gf = real(family, k, q)
+            if (family, k, q) == ("b", 2, 3):
+                gf = gf + Polynomial.monomial(1, k + 5)
+            return gf
+
+        monkeypatch.setattr(verify_mod, "paper_gf", bumped)
+        report = run_suite("tables", Bounds(k_max=2, q_max=3))
+        failed = {case.case_id: case for case in report.cases if case.status == "fail"}
+        assert sorted(failed) == ["tables/b-row/k2-q3", "tables/recurrence-fidelity/b-k2-q3"]
+        seeded = "(1 - 10*z - 3*z^2 + z^7 + 9*z^8 + 27*z^9 + 27*z^10)/(1 + 3*z)^3"
+        assert failed["tables/b-row/k2-q3"].actual == (
+            f"built from k+1 seed terms {seeded}, table lists (1 - 10*z - 3*z^2)/(1 + 3*z)^3"
+        )
+        assert failed["tables/recurrence-fidelity/b-k2-q3"].actual == (
+            f"built from k+1 seed terms {seeded}, constructed (1 - 10*z - 3*z^2)/(1 + 3*z)^3"
+        )
+
     def test_triangle_row_mismatch(self, monkeypatch, tmp_path):
         import binsum.verify as verify_mod
 
