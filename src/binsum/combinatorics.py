@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from math import factorial  # public as binsum.factorial; ValueError for n < 0
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -20,13 +21,6 @@ def normalize_scalar(x: Scalar) -> Scalar:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial is undefined for negative n: {n}")
-    return math.factorial(n)
 
 
 def binomial(top: Scalar, bottom: int) -> Scalar:
@@ -93,11 +87,16 @@ def _row(name: str, n: int) -> tuple[int, ...]:
     return rows[n]
 
 
+def _entry(name: str, n: int, k: int) -> int:
+    """T(n, k) of triangle name; 0 outside 0 <= k <= n, an error for any k at n < 0."""
+    if n < 0:
+        raise ValueError(f"{name} is undefined for negative n: {n}")
+    return _row(name, n)[k] if 0 <= k <= n else 0
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of n elements into k blocks."""
-    if n < 0:
-        raise ValueError(f"stirling2 is undefined for negative n: {n}")
-    return _row("stirling2", n)[k] if 0 <= k <= n else 0
+    return _entry("stirling2", n, k)
 
 
 def stirling1_signed(n: int, k: int) -> int:
@@ -106,16 +105,12 @@ def stirling1_signed(n: int, k: int) -> int:
     Coefficient of z^k in the falling factorial z(z-1)...(z-n+1); the sign
     is (-1)^(n-k).
     """
-    if n < 0:
-        raise ValueError(f"stirling1_signed is undefined for negative n: {n}")
-    return _row("stirling1_signed", n)[k] if 0 <= k <= n else 0
+    return _entry("stirling1_signed", n, k)
 
 
 def eulerian(n: int, k: int) -> int:
     """Eulerian number: permutations of n elements with k descents."""
-    if n < 0:
-        raise ValueError(f"eulerian is undefined for negative n: {n}")
-    return _row("eulerian", n)[k] if 0 <= k <= n else 0
+    return _entry("eulerian", n, k)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

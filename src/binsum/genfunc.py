@@ -63,8 +63,7 @@ def B_gf(k: int, q: int) -> RationalGF:
     from N = 1, and the sum is put in canonical form once.  The canonical
     denominator always divides (1+qz)^(k+1).
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    _check_nonnegative("k", k)
     q = _require_integer_q(q, "B_gf")
     base = Polynomial([1, q])
     numerator = Polynomial([1])
@@ -107,8 +106,7 @@ def A_gf(k: int, q: int) -> RationalGF:
 
 def omega_poly(n: int) -> Polynomial:
     """Geometric polynomial omega_n(x) = sum_k S2(n,k) k! x^k."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_nonnegative("n", n)
     return Polynomial([stirling2(n, j) * factorial(j) for j in range(n + 1)])
 
 
@@ -155,8 +153,8 @@ def C_gf_stirling(J: int, q: Scalar) -> RationalGF:
     polynomial of degree <= J, substituted once as (1-z)^J W(z/(1-z)) over
     (1-z)^(J+1).
     """
-    if J < 0 or q < 0:
-        raise ValueError("J and q must be nonnegative")
+    _check_nonnegative("J", J)
+    q = _check_q(q)
     weights = [q**t * (-1) ** (J + t) * stirling1_signed(J + 1, t + 1) for t in range(J + 1)]
     return _geometric_gf(_omega_sum(weights), J)
 
@@ -167,8 +165,7 @@ def C2_closed_form(J: int) -> RationalGF:
     Satisfies the three-term relation (1-z) C(J) = 2 C(J-1) - C(J-2) for
     J >= 2 and agrees with C_gf_stirling(J, 2).
     """
-    if J < 0:
-        raise ValueError(f"J must be nonnegative, got {J}")
+    _check_nonnegative("J", J)
     numerator = [binomial(J + 1, 2 * l) for l in range((J + 1) // 2 + 1)]
     return RationalGF(numerator, Polynomial([1, -1]) ** (J + 1))
 
@@ -264,7 +261,10 @@ def paper_seed(family: str, q: Scalar) -> tuple[Callable[[int, Scalar, int], Sca
     q (see a_single_sum), so it holds at every rational q >= 0 too.
     """
     # built per call, so the evaluators are the ones the module holds now
-    return {"a": (a_single_sum, q + 1), "b": (b_direct, -q), "c": (c_direct, 1)}[family]
+    seeds = {"a": (a_single_sum, q + 1), "b": (b_direct, -q), "c": (c_direct, 1)}
+    if family not in seeds:
+        raise ValueError(f"family must be 'a', 'b' or 'c', got {family!r}")
+    return seeds[family]
 
 
 def paper_gf(family: str, k: int, q: Scalar) -> RationalGF:
@@ -279,12 +279,14 @@ def paper_gf(family: str, k: int, q: Scalar) -> RationalGF:
     the paper's constructions of the same functions.
     """
     _check_nonnegative("k", k)
+    q = _check_q(q)
     seed, r = paper_seed(family, q)
     order = k + 1
     terms = [seed(k, q, n) for n in range(order)]
-    weights = [math.comb(order, i) * (-r) ** i for i in range(order)]
+    # (1 - r z)^(k+1), the denominator, whose terms below z^(k+1) weight P
+    weights = [math.comb(order, i) * (-r) ** i for i in range(order + 1)]
     numerator = [sum(weights[i] * terms[j - i] for i in range(j + 1)) for j in range(order)]
-    return RationalGF(numerator, Polynomial([1, -r]) ** order)
+    return RationalGF(numerator, weights)
 
 
 def recurrence_terms(family: str, k: int, q: Scalar, n: int) -> list[Scalar]:
@@ -351,6 +353,5 @@ def stirling_omega_identity_check(n: int) -> tuple[Polynomial, Polynomial]:
     Returns (monomial, reconstruction); equality follows from the
     orthogonality of the two Stirling kinds.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_nonnegative("n", n)
     return Polynomial.monomial(1, n), _omega_sum([stirling1_signed(n, k) for k in range(n + 1)])

@@ -35,7 +35,9 @@ def _check_nonnegative(name: str, value: int) -> int:
 
 
 def _check_q(q: Scalar) -> Scalar:
-    q = normalize_scalar(Fraction(q))
+    # an int skips the Fraction round trip, which nearly doubles a small c term's cost
+    if type(q) is not int:
+        q = normalize_scalar(Fraction(q))
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     return q
@@ -115,13 +117,9 @@ def b_k1_closed(k: int, j: int) -> int:
 
 
 def c_direct(J: int, q: Scalar, i: int) -> Scalar:
-    """The stepped binomial c(J, q; i) = C(J + q*i, J).  Rational q is allowed.
-
-    An int q skips _check_q, whose Fraction round trip nearly doubles the
-    cost of a b-file's worth of small terms.
-    """
+    """The stepped binomial c(J, q; i) = C(J + q*i, J).  Rational q is allowed."""
     _check_nonnegative("J", J)
-    q = _check_nonnegative("q", q) if type(q) is int else _check_q(q)
+    q = _check_q(q)
     _check_nonnegative("i", i)
     return binomial(J + q * i, J)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -39,6 +39,7 @@ from .genfunc import (
 )
 from .polynomials import Polynomial, RationalGF
 from .sequences import (
+    _check_nonnegative,
     a_double_sum,
     a_from_b,
     a_hypergeom,
@@ -88,10 +89,8 @@ class Bounds:
     j_max: int = 20
 
     def validate(self) -> None:
-        for name in ("k_max", "q_max", "m_max", "j_max"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        for field in fields(self):
+            _check_nonnegative(field.name, getattr(self, field.name))
 
 
 @dataclass(frozen=True)
@@ -329,6 +328,9 @@ def _check_a_row(row) -> Optional[str]:
     got = A_gf(row.k, row.q)
     if got != want:
         return f"constructed {got.render()}, table lists {want.render()}"
+    seeded = paper_gf("a", row.k, row.q)
+    if seeded != want:
+        return f"built from k+1 seed terms {seeded.render()}, table lists {want.render()}"
     return None
 
 

@@ -175,6 +175,14 @@ class TestStirling2:
         assert stirling2(0, 1) == 0
 
 
+@pytest.mark.parametrize("triangle", [stirling2, stirling1_signed, eulerian])
+@pytest.mark.parametrize("k", [-1, 0, 5])
+def test_negative_n_rejected_at_every_k(triangle, k):
+    # the k range test must not answer 0 before n is checked
+    with pytest.raises(ValueError, match="undefined for negative n"):
+        triangle(-1, k)
+
+
 class TestStirling1Signed:
     def test_examples(self):
         assert stirling1_signed(3, 2) == -3

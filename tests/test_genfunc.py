@@ -23,6 +23,7 @@ from binsum.genfunc import (
     power_sum_gf,
     reconstruct_rational,
     recurrence_from_gf,
+    recurrence_terms,
     stirling_binomial_transform_check,
     stirling_omega_identity_check,
 )
@@ -219,6 +220,27 @@ class TestPaperGf:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             paper_gf("a", -1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        # "A" is the CLI's name; the library takes the sequence's own
+        (paper_gf, ("A", 2, 3), "family must be 'a', 'b' or 'c', got 'A'"),
+        (recurrence_terms, ("x", 2, 3, 5), "family must be 'a', 'b' or 'c', got 'x'"),
+        (C_gf_stirling, (1.5, 2), "J must be a nonnegative integer, got 1.5"),
+        (C2_closed_form, (2.0,), "J must be a nonnegative integer, got 2.0"),
+        (omega_poly, (2.5,), "n must be a nonnegative integer, got 2.5"),
+        (paper_gf, ("c", 2, -1), "q must be nonnegative, got -1"),
+    ],
+    ids=["paper_gf-family", "recurrence_terms-family", "C_gf_stirling-J", "C2_closed_form-J",
+         "omega_poly-n", "paper_gf-q"],
+)
+def test_bad_input_is_a_one_line_value_error(build, args, message):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 class TestC2:

@@ -197,6 +197,9 @@ class TestDomainErrors:
             a_single_sum(0, -2, 3)
         with pytest.raises(ValueError):
             b_direct(0, Fraction(-1, 2), 3)
+        # c takes any rational q, so the message must not ask for an integer
+        with pytest.raises(ValueError, match="^q must be nonnegative, got -1$"):
+            c_direct(2, -1, 3)
 
     def test_hypergeometric_routes_need_integer_q(self):
         with pytest.raises(UnsupportedParameterError):

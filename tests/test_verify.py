@@ -189,6 +189,30 @@ class TestFailureText:
             f"built from k+1 seed terms {seeded}, constructed (1 - 10*z - 3*z^2)/(1 + 3*z)^3"
         )
 
+    def test_wrong_seeded_a_function_fails_its_table_row(self, monkeypatch):
+        # (5, 6) lies outside the recurrence-fidelity grid, so only the a
+        # table compares the seeded A there
+        import binsum.verify as verify_mod
+
+        real = verify_mod.paper_gf
+
+        def bumped(family, k, q):
+            gf = real(family, k, q)
+            if (family, k, q) == ("a", 5, 6):
+                gf = gf + Polynomial.monomial(1, k + 5)
+            return gf
+
+        monkeypatch.setattr(verify_mod, "paper_gf", bumped)
+        report = run_suite("tables", Bounds(k_max=0, q_max=0))
+        failed = [case for case in report.cases if case.status == "fail"]
+        assert [case.case_id for case in failed] == ["tables/a-row/k5-q6"]
+        table = "1 + 882*z + 10731*z^2 - 40474*z^3 + 36015*z^4"
+        bump = "z^10 - 42*z^11 + 735*z^12 - 6860*z^13 + 36015*z^14 - 100842*z^15 + 117649*z^16"
+        assert failed[0].actual == (
+            f"built from k+1 seed terms ({table} + {bump})/(1 - 7*z)^6,"
+            f" table lists ({table})/(1 - 7*z)^6"
+        )
+
     def test_triangle_row_mismatch(self, monkeypatch, tmp_path):
         import binsum.verify as verify_mod
 
