@@ -49,6 +49,36 @@ def binomial(top: Scalar, bottom: int) -> Scalar:
     return normalize_scalar(Fraction(product, d**bottom * math.factorial(bottom)))
 
 
+def alternating_binomial_sum(n: int, offset: int, step: Scalar, bottom: int) -> Scalar:
+    """sum_{i=0..n} (-1)^i C(n, i) C(offset + step*i, bottom), exactly.
+
+    n, offset and bottom are nonnegative ints and step is a rational >= 0,
+    so every top is nonnegative.  At an int step each term is a product of
+    two math.comb values.  At step = p/d the top (offset*d + p*i)/d has the
+    integer falling product N (N-d) ... (N-(bottom-1)d) over d^bottom bottom!,
+    with N = offset*d + p*i; the products are summed in int and a single
+    Fraction is built over that shared denominator (the trick
+    hyp_terminating uses; Petkovsek, Wilf & Zeilberger, A = B, ch. 3).
+    """
+    if n < 0 or offset < 0 or bottom < 0:
+        raise ValueError(
+            f"alternating_binomial_sum needs n, offset, bottom >= 0, got {n}, {offset}, {bottom}"
+        )
+    comb = math.comb
+    if type(step) is int:
+        even = sum(comb(n, i) * comb(offset + step * i, bottom) for i in range(0, n + 1, 2))
+        odd = sum(comb(n, i) * comb(offset + step * i, bottom) for i in range(1, n + 1, 2))
+        return even - odd
+    p, d = step.numerator, step.denominator
+    start, stop = offset * d, offset * d - bottom * d
+    total = 0
+    for i in range(n + 1):
+        shift = p * i
+        term = comb(n, i) * math.prod(range(start + shift, stop + shift, -d))
+        total += -term if i & 1 else term
+    return normalize_scalar(Fraction(total, d**bottom * math.factorial(bottom)))
+
+
 def pochhammer(a: Scalar, n: int) -> Scalar:
     """Rising factorial a(a+1)...(a+n-1); the empty product is 1."""
     if n < 0:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .combinatorics import (
     Scalar,
+    alternating_binomial_sum,
     binomial,
     factorial,
     multinomial,
@@ -37,6 +38,9 @@ def _check_nonnegative(name: str, value: int) -> int:
 def _check_q(q: Scalar) -> Scalar:
     # an int skips the Fraction round trip, which nearly doubles a small c term's cost
     if type(q) is not int:
+        if isinstance(q, float):
+            # Fraction(0.1) is the dyadic 3602879701896397/2**55, not 1/10
+            raise ValueError(f"q must be an int or a Fraction, not the float {q!r}")
         q = normalize_scalar(Fraction(q))
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
@@ -65,9 +69,9 @@ def a_double_sum(k: int, q: Scalar, m: int) -> Scalar:
     q = _check_q(q)
     total: Scalar = 0
     for j in range(m + 1):
-        outer = binomial(m, j)
-        for i in range(j + 1):
-            total += (-1) ** (j - i) * outer * binomial(j, i) * binomial(j + k + q * i, j + k)
+        # the inner sum over i is (-1)^j times the kernel's alternating sum
+        term = binomial(m, j) * alternating_binomial_sum(j, j + k, q, j + k)
+        total += -term if j & 1 else term
     return normalize_scalar(total)
 
 
@@ -83,10 +87,8 @@ def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
     q = _check_q(q)
-    total: Scalar = 0
-    for i in range(m + 1):
-        total += (-1) ** (m - i) * binomial(m, i) * binomial(k + (q + 1) * i, k + m)
-    return normalize_scalar(total)
+    total = alternating_binomial_sum(m, k, q + 1, k + m)
+    return -total if m & 1 else total
 
 
 def b_direct(k: int, q: Scalar, j: int) -> Scalar:
@@ -94,10 +96,7 @@ def b_direct(k: int, q: Scalar, j: int) -> Scalar:
     _check_nonnegative("k", k)
     _check_nonnegative("j", j)
     q = _check_q(q)
-    total: Scalar = 0
-    for i in range(j + 1):
-        total += (-1) ** i * binomial(j, i) * binomial(j + k + q * i, j + k)
-    return normalize_scalar(total)
+    return alternating_binomial_sum(j, j + k, q, j + k)
 
 
 def a_from_b(k: int, q: Scalar, m: int) -> Scalar:
@@ -165,7 +164,7 @@ def zero_sum_identity(j: int, q: int) -> int:
     _check_nonnegative("j", j)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    return sum((-1) ** i * binomial(j + 1, i) * binomial(j + i * q, j) for i in range(j + 2))
+    return alternating_binomial_sum(j + 1, j, q, j)
 
 
 def beta_integral(j: int, q: int) -> Fraction:

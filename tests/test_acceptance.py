@@ -11,6 +11,7 @@ criterion either holds exactly or the test fails with the first few
 divergences in the assertion message.
 """
 
+import dataclasses
 import hashlib
 import time
 from fractions import Fraction
@@ -176,8 +177,19 @@ def test_criterion_08_oeis_offline(capsys, tmp_path):
             failures.append(result.describe())
         elif result.overlap < 20:
             failures.append(f"{oeis_id}: only {result.overlap} overlapping terms")
-        elif result.shift != mapping.offset_shift:
-            failures.append(f"{oeis_id}: matched at shift {result.shift}, not pinned")
+        else:
+            # the pinned shift must be the only one near it that matches, so
+            # that a mapping cannot pass at an offset the entry does not use
+            pinned_shift = mapping.offset_shift
+            shifts = [
+                shift
+                for shift in range(pinned_shift - 2, pinned_shift + 3)
+                if verify.compare_pinned(
+                    dataclasses.replace(mapping, offset_shift=shift), offline=True, cache_dir=cache
+                ).matched
+            ]
+            if shifts != [pinned_shift]:
+                failures.append(f"{oeis_id}: matches at shifts {shifts}, pinned {pinned_shift}")
 
     cases = {case.case_id: case for case in verify._oeis_cases(True, cache)}
     for oeis_id in ("A034839", "A019538"):

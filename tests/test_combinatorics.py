@@ -12,6 +12,7 @@ import pytest
 
 from binsum import combinatorics
 from binsum.combinatorics import (
+    alternating_binomial_sum,
     binomial,
     eulerian,
     factorial,
@@ -114,6 +115,39 @@ class TestBinomial:
         # (1/2 choose 3) = (1/2)(-1/2)(-3/2)/6
         assert binomial(Fraction(1, 2), 3) == Fraction(1, 16)
         assert binomial(Fraction(-5, 2), 2) == Fraction(35, 8)
+
+
+class TestAlternatingBinomialSum:
+    def test_examples(self):
+        # b(1, 2; 3) = -44 and b(1, 1/2; 1) = -7/8, as sums over i <= j of
+        # (-1)^i C(j, i) C(j+k+q*i, j+k)
+        assert alternating_binomial_sum(3, 4, 2, 4) == -44
+        assert alternating_binomial_sum(1, 2, Fraction(1, 2), 2) == Fraction(-7, 8)
+        # n + 1 > bottom forward differences of a degree-bottom polynomial in i
+        assert alternating_binomial_sum(6, 5, 3, 5) == 0
+        assert alternating_binomial_sum(6, 5, Fraction(7, 3), 5) == 0
+
+    def test_step_zero_leaves_only_n_zero(self):
+        for n in range(6):
+            for offset in range(8):
+                for bottom in range(10):
+                    want = math.comb(offset, bottom) if n == 0 else 0
+                    assert alternating_binomial_sum(n, offset, 0, bottom) == want
+                    assert alternating_binomial_sum(n, offset, Fraction(0), bottom) == want
+
+    def test_n_th_difference_of_the_leading_term(self):
+        # with bottom = n only the top's i^n term survives n differences:
+        # (-1)^n n! (step^n / n!) = (-step)^n, an int at an integral step
+        for n in range(8):
+            for step in (1, 2, 5, Fraction(1, 2), Fraction(7, 3), Fraction(6, 3)):
+                value, want = alternating_binomial_sum(n, 3, step, n), (-Fraction(step)) ** n
+                assert value == want
+                assert type(value) is (int if want.denominator == 1 else Fraction)
+
+    def test_negative_arguments_rejected(self):
+        for args in ((-1, 0, 1, 0), (2, -1, 1, 0), (2, 0, 1, -1), (2, 0, Fraction(1, 2), -1)):
+            with pytest.raises(ValueError):
+                alternating_binomial_sum(*args)
 
 
 class TestPochhammer:

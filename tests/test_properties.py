@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from binsum.combinatorics import binomial  # noqa: E402
+from binsum.combinatorics import alternating_binomial_sum, binomial  # noqa: E402
 from binsum.errors import NeedsMoreTermsError  # noqa: E402
 from binsum.genfunc import (  # noqa: E402
     A_gf,
@@ -281,6 +281,28 @@ def test_binomial_is_the_falling_factorial(x, k):
     assert value == literal
     # an int exactly when the value is integral, a Fraction otherwise
     assert type(value) is (int if literal.denominator == 1 else Fraction)
+
+
+# The alternating-sum kernel against its literal term-by-term definition.
+# Steps: 0, the integers up to 6, and p/d with d <= 5 (an integral p/d
+# arrives as a Fraction with denominator 1 and takes the Fraction branch).
+kernel_index = st.integers(min_value=0, max_value=12)
+kernel_step = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.builds(Fraction, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=5)),
+)
+
+
+@SETTINGS
+@given(kernel_index, kernel_index, kernel_step, kernel_index)
+def test_alternating_sum_is_the_literal_sum(n, offset, step, bottom):
+    literal = sum(
+        (-1) ** i * binomial(n, i) * binomial(offset + step * i, bottom) for i in range(n + 1)
+    )
+    value = alternating_binomial_sum(n, offset, step, bottom)
+    assert value == literal
+    # an int exactly when the value is integral, a Fraction otherwise
+    assert type(value) is (int if Fraction(literal).denominator == 1 else Fraction)
 
 
 # The recurrence route against the defining sums.  The sums at m near 300

@@ -7,6 +7,7 @@ import pytest
 
 from binsum.combinatorics import binomial
 from binsum.errors import UnsupportedParameterError
+from binsum.genfunc import paper_gf, recurrence_terms
 from binsum.sequences import (
     a_double_sum,
     a_from_b,
@@ -200,6 +201,24 @@ class TestDomainErrors:
         # c takes any rational q, so the message must not ask for an integer
         with pytest.raises(ValueError, match="^q must be nonnegative, got -1$"):
             c_direct(2, -1, 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q: c_direct(2, q, 3),
+            lambda q: b_direct(1, q, 3),
+            lambda q: a_double_sum(1, q, 3),
+            lambda q: a_hypergeom(1, q, 3),
+            lambda q: paper_gf("b", 1, q),
+            lambda q: recurrence_terms("a", 1, q, 4),
+        ],
+    )
+    @pytest.mark.parametrize("q", [0.1, 2.0])
+    def test_float_q_is_refused(self, call, q):
+        # a binary float is not the rational it prints as: 0.1 would be
+        # computed as 3602879701896397/2**55, so no float is taken, even 2.0
+        with pytest.raises(ValueError, match=rf"^q must be an int or a Fraction, not the float {q}$"):
+            call(q)
 
     def test_hypergeometric_routes_need_integer_q(self):
         with pytest.raises(UnsupportedParameterError):

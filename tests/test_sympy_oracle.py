@@ -1,6 +1,6 @@
 """sympy as an independent oracle for the exact kernels: rational-top
-binomials, the Berlekamp-Massey series fit, the polynomial gcd and the
-canonical form of RationalGF.
+binomials, the alternating binomial sum, the Berlekamp-Massey series fit, the
+polynomial gcd and the canonical form of RationalGF.
 
 binsum itself is stdlib-only; these checks run where sympy is installed and
 are skipped elsewhere.
@@ -13,7 +13,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from binsum.combinatorics import binomial  # noqa: E402
+from binsum.combinatorics import alternating_binomial_sum, binomial  # noqa: E402
 from binsum.genfunc import reconstruct_rational  # noqa: E402
 from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
 
@@ -25,6 +25,22 @@ def test_binomial_rational_tops_match_sympy():
             for k in range(11):
                 expected = sympy.binomial(sympy.Rational(p, d), k)
                 assert binomial(top, k) == Fraction(int(expected.p), int(expected.q))
+
+
+def test_alternating_sum_at_rational_steps_matches_sympy():
+    rng = random.Random(2023)
+    for d in range(2, 6):
+        for p in range(31):
+            step = Fraction(p, d)
+            n, offset, bottom = rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 12)
+            expected = sum(
+                (-1) ** i
+                * sympy.binomial(n, i)
+                * sympy.binomial(offset + sympy.Rational(p, d) * i, bottom)
+                for i in range(n + 1)
+            )
+            value = alternating_binomial_sum(n, offset, step, bottom)
+            assert value == Fraction(int(expected.p), int(expected.q)), (n, offset, step, bottom)
 
 
 def _random_polynomial(rng, max_degree):

@@ -146,6 +146,30 @@ class TestFailureText:
         assert case.status == "fail"
         assert case.actual == "k=1, m=4: single sum gave 89/8, alternating b gave 81/8"
 
+    def test_kernel_wrong_only_at_rational_step_fails(self, monkeypatch):
+        # b_direct and a_single_sum share the alternating-sum kernel, and
+        # every integer-q case runs its int branch, so a slip in the
+        # Fraction branch alone must still fail both rational-q cases
+        import binsum.sequences as sequences_mod
+
+        real = sequences_mod.alternating_binomial_sum
+        monkeypatch.setattr(
+            sequences_mod,
+            "alternating_binomial_sum",
+            lambda n, offset, step, bottom: real(n, offset, step, bottom)
+            + (n == 7 and type(step) is not int),
+        )
+        report = run_suite("formulas", Bounds(k_max=3, q_max=0, m_max=10, j_max=0))
+        assert report.status == "fail"
+        cases = cases_by_id(report)
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == [
+            "formulas/rational-q/a-agreement/q1-2",
+            "formulas/rational-q/a-agreement/q3-2",
+        ]
+        for case_id in failed:
+            assert cases[case_id].actual.startswith("k=0, m=8: single sum gave ")
+
     def test_wrong_recurrence_route_fails_fidelity(self, monkeypatch):
         # seq's default route is checked past its k+1 seed terms
         import binsum.verify as verify_mod
