@@ -65,13 +65,14 @@ def alternating_binomial_sum(n: int, offset: int, step: Scalar, bottom: int) -> 
             f"alternating_binomial_sum needs n, offset, bottom >= 0, got {n}, {offset}, {bottom}"
         )
     comb = math.comb
+    total = 0
     if type(step) is int:
-        even = sum(comb(n, i) * comb(offset + step * i, bottom) for i in range(0, n + 1, 2))
-        odd = sum(comb(n, i) * comb(offset + step * i, bottom) for i in range(1, n + 1, 2))
-        return even - odd
+        for i in range(n + 1):
+            term = comb(n, i) * comb(offset + step * i, bottom)
+            total += -term if i & 1 else term
+        return total
     p, d = step.numerator, step.denominator
     start, stop = offset * d, offset * d - bottom * d
-    total = 0
     for i in range(n + 1):
         shift = p * i
         term = comb(n, i) * math.prod(range(start + shift, stop + shift, -d))

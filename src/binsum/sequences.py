@@ -96,7 +96,10 @@ def b_direct(k: int, q: Scalar, j: int) -> Scalar:
     _check_nonnegative("k", k)
     _check_nonnegative("j", j)
     q = _check_q(q)
-    return alternating_binomial_sum(j, j + k, q, j + k)
+    total: Scalar = 0
+    for i in range(j + 1):
+        total += (-1) ** i * binomial(j, i) * binomial(j + k + q * i, j + k)
+    return normalize_scalar(total)
 
 
 def a_from_b(k: int, q: Scalar, m: int) -> Scalar:

@@ -147,8 +147,8 @@ class TestFailureText:
         assert case.actual == "k=1, m=4: single sum gave 89/8, alternating b gave 81/8"
 
     def test_kernel_wrong_only_at_rational_step_fails(self, monkeypatch):
-        # b_direct and a_single_sum share the alternating-sum kernel, and
-        # every integer-q case runs its int branch, so a slip in the
+        # a_double_sum and a_single_sum share the alternating-sum kernel,
+        # and every integer-q case runs its int branch, so a slip in the
         # Fraction branch alone must still fail both rational-q cases
         import binsum.sequences as sequences_mod
 
@@ -168,7 +168,7 @@ class TestFailureText:
             "formulas/rational-q/a-agreement/q3-2",
         ]
         for case_id in failed:
-            assert cases[case_id].actual.startswith("k=0, m=8: single sum gave ")
+            assert cases[case_id].actual.startswith("k=0, m=7: single sum gave ")
 
     def test_wrong_recurrence_route_fails_fidelity(self, monkeypatch):
         # seq's default route is checked past its k+1 seed terms
