@@ -10,7 +10,6 @@ and rational arithmetic; there is not a float in sight.
 
 from .combinatorics import (
     binomial,
-    eulerian,
     factorial,
     multinomial,
     normalize_scalar,
@@ -24,6 +23,7 @@ from .errors import (
     NeedsMoreTermsError,
     NoRationalFitError,
     NonTerminatingSeriesError,
+    NotALinearPowerError,
     NotAPowerSeriesError,
     TransportError,
     UnsupportedParameterError,
@@ -79,6 +79,7 @@ __all__ = [
     "NeedsMoreTermsError",
     "NoRationalFitError",
     "NonTerminatingSeriesError",
+    "NotALinearPowerError",
     "NotAPowerSeriesError",
     "OeisMapping",
     "Polynomial",
@@ -98,7 +99,6 @@ __all__ = [
     "binomial_transform_gf",
     "c_direct",
     "compare_terms",
-    "eulerian",
     "factorial",
     "fetch_bfile",
     "hyp_terminating",

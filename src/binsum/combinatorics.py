@@ -1,5 +1,5 @@
 """Exact combinatorial primitives: factorials, binomials, Pochhammer symbols,
-Stirling and Eulerian numbers, multinomials.
+Stirling numbers, multinomials.
 
 Scalars are plain ``int`` and ``fractions.Fraction``; no floating point
 anywhere.  Integral results come back as ``int``.
@@ -94,7 +94,6 @@ def pochhammer(a: Scalar, n: int) -> Scalar:
 _WEIGHTS = {
     "stirling2": lambda m, k: (k, 1),
     "stirling1_signed": lambda m, k: (1 - m, 1),
-    "eulerian": lambda m, k: (k + 1, m - k),
 }
 _ROWS: defaultdict[str, dict[int, tuple[int, ...]]] = defaultdict(lambda: {0: (1,)})
 
@@ -137,11 +136,6 @@ def stirling1_signed(n: int, k: int) -> int:
     is (-1)^(n-k).
     """
     return _entry("stirling1_signed", n, k)
-
-
-def eulerian(n: int, k: int) -> int:
-    """Eulerian number: permutations of n elements with k descents."""
-    return _entry("eulerian", n, k)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

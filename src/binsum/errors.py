@@ -19,6 +19,11 @@ class NotAPowerSeriesError(ValueError):
     """The denominator constant coefficient is zero, so no Taylor expansion at 0."""
 
 
+class NotALinearPowerError(ValueError):
+    """A denominator is not a constant times a power of one linear factor,
+    the one shape RationalGF holds (Fibonacci's 1 - z - z^2 is not)."""
+
+
 class NoRationalFitError(ValueError):
     """The fitted rational function does not reproduce every term of the series."""
 

@@ -89,13 +89,18 @@ def binomial_transform_gf(f: RationalGF) -> RationalGF:
     This is exactly the map sending the generating function of b(j) to that
     of a(m) = sum_j (-1)^j C(m,j) b(j), and it is an involution: applying it
     twice returns the input.
+
+    With f = N/D and L = max(deg N + 1, deg D), g is (1-z)^(L-1) N(w) over
+    (1-z)^L D(w), w = -z/(1-z).  A D = c (b0 + b1 z)^e maps to
+    c (1-z)^(L-e) (b0 - (b0 + b1) z)^e, so a proper or polynomial f, where
+    L = e or e = 0, keeps one linear factor.
     """
     num, den = f.numerator, f.denominator
-    lift = max(num.degree, den.degree)
+    lift = max(num.degree + 1, den.degree)
     inner_num = Polynomial([0, -1])
     inner_den = Polynomial([1, -1])
-    new_num = substitute_cleared(num, inner_num, inner_den, lift)
-    new_den = substitute_cleared(den, inner_num, inner_den, lift) * inner_den
+    new_num = substitute_cleared(num, inner_num, inner_den, lift - 1)
+    new_den = substitute_cleared(den, inner_num, inner_den, lift)
     return RationalGF(new_num, new_den)
 
 
@@ -182,7 +187,9 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
     The numerator is (T C) mod z^L for the scaled terms T.  N terms fix a
     recurrence of order L only when N >= 2L, so N < 2L + 1 (no spare term)
     raises NeedsMoreTermsError.  The candidate is checked against every
-    supplied term before it is returned.
+    supplied term before it is returned.  A least-order fit is already in
+    lowest terms, so a C with two distinct roots is the series' own, and
+    RationalGF refuses it with NotALinearPowerError.
     """
     terms = [Fraction(t) for t in series]
     scale = math.lcm(*[t.denominator for t in terms])

@@ -14,16 +14,19 @@ denominators, and one internal constructor restores the canonical form.
 The public accessors still hand out Fractions, so callers that divide a
 coefficient get an exact quotient.
 
-RationalGF keeps a numerator/denominator pair in one canonical shape so that
-structural equality decides equality of rational functions:
+RationalGF holds a numerator over a denominator c*(b0 + b1*z)^e, a constant
+times a power of one linear factor (z^e included): the shape of every
+generating function the library builds (Stanley, Enumerative Combinatorics
+I, Thm 4.1.1).  Any other denominator is refused with NotALinearPowerError.
+The pair is kept in one canonical shape so that structural equality decides
+equality of rational functions:
 
   * the polynomial gcd is divided out,
   * both parts are scaled to integer coefficients with overall content 1,
   * the lowest nonzero denominator coefficient is positive.
 
-The gcd is the primitive Euclidean algorithm on integer numerators: each
-pseudo-remainder has its content divided out before the next step (Collins
-1967; Brown 1971), so no Fraction is formed.
+The gcd is then a power of b0 + b1*z, found by exact synthetic division in
+int while the numerator leaves no remainder; no Fraction is formed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .combinatorics import Scalar
-from .errors import NotAPowerSeriesError
+from .errors import NotALinearPowerError, NotAPowerSeriesError
 
 CoeffsLike = Union["Polynomial", Sequence[Scalar], int, Fraction]
 
@@ -171,16 +174,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        other = Polynomial.from_value(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        # with self = A/da and other = B/db, s*A = Q*B + R gives
-        # self = (Q*db / (s*da)) * other + R / (s*da)
-        quotient, remainder, scale = _pseudo_divide(self._nums, other._nums)
-        den = scale * self._den
-        return _poly([c * other._den for c in quotient], den), _poly(remainder, den)
-
     def render(self, variable: str = "z") -> str:
         """Human form with explicit * and ^: e.g. 1 - 3*z + z^2."""
         return render_terms(
@@ -192,49 +185,52 @@ class Polynomial:
         return f"Polynomial({[str(c) for c in self.coefficients]})"
 
 
-def _pseudo_divide(
-    a: Sequence[int], b: Sequence[int]
-) -> tuple[list[int], list[int], int]:
-    """Division with remainder of integer polynomials, scaled as it needs.
+def _divide_linear(nums: Sequence[int], b0: int, b1: int) -> list[int] | None:
+    """nums / (b0 + b1*z) in int, or None when the division leaves a
+    remainder; b0 + b1*z is primitive with b1 != 0, and nums has no
+    trailing zeros.
 
-    Returns (q, r, s) with s*a = q*b + r, deg r < deg b and s > 0; b has no
-    trailing zeros.  Each step cancels the top of the remainder with an
-    integer multiple of b, scaling the remainder and the quotient so far by
-    |lead(b)| / gcd(lead(b), top) only when lead(b) does not divide the top.
-    So s divides |lead(b)|^(deg a - deg b + 1), and s = 1 when b is
-    primitive and divides a: then the quotient has integer coefficients
-    (Gauss's lemma), and every top is a multiple of lead(b).
+    Synthetic division from the top: the z^i coefficient of the product is
+    b0*q_i + b1*q_(i-1), so q_(i-1) = (nums_i - b0*q_i) / b1, and nums_0 =
+    b0*q_0 is what is left to check.  A primitive b0 + b1*z that divides an
+    integer polynomial leaves an integer quotient (Gauss's lemma), so a
+    step that does not divide in int proves a remainder.
     """
-    rem = list(a)
-    n = len(b)
-    lead = b[-1]
-    low = b[:-1]
-    quotient = [0] * max(len(rem) - n + 1, 0)
-    scale = 1
-    for shift in range(len(rem) - n, -1, -1):
-        top = rem.pop()
-        if not top:
-            continue
-        if top % lead:
-            g = abs(lead) // gcd(lead, top)
-            rem = [g * c for c in rem]
-            quotient = [g * c for c in quotient]
-            scale *= g
-            top *= g
-        factor = top // lead
-        quotient[shift] = factor
-        for i, c in enumerate(low, shift):
-            rem[i] -= factor * c
-    return quotient, rem, scale
+    quotient = [0] * (len(nums) - 1)
+    carry = 0
+    for i in range(len(nums) - 1, 0, -1):
+        carry, rest = divmod(nums[i] - b0 * carry, b1)
+        if rest:
+            return None
+        quotient[i - 1] = carry
+    if nums and nums[0] != b0 * carry:
+        return None
+    return quotient
 
 
-def _primitive(nums: Sequence[int]) -> list[int]:
-    """nums without trailing zeros, divided by its content."""
-    nums = list(nums)
-    while nums and not nums[-1]:
-        nums.pop()
-    content = gcd(*nums)
-    return [c // content for c in nums] if content > 1 else nums
+def _linear_power(nums: Sequence[int]) -> tuple[int, tuple[int, int], int] | None:
+    """(c, (b0, b1), e) with nums = c * (b0 + b1*z)^e, or None.
+
+    b0 + b1*z is primitive with b0 > 0, or it is z.  For b0 != 0 the
+    logarithmic derivative at 0 gives b1/b0 = nums_1 / (e * nums_0); the
+    form is then confirmed by e exact divisions, which leave c.
+    """
+    e = len(nums) - 1
+    if e < 1:
+        return (nums[0], (0, 1), 0) if nums else None
+    if nums[0]:
+        ratio = Fraction(nums[1], e * nums[0])
+        base = (ratio.denominator, ratio.numerator)
+    else:
+        base = (0, 1)
+    if not base[1]:
+        return None
+    quotient = nums
+    for _ in range(e):
+        quotient = _divide_linear(quotient, *base)
+        if quotient is None:
+            return None
+    return quotient[0], base, e
 
 
 def render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
@@ -260,19 +256,26 @@ def render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic polynomial gcd by the primitive Euclidean algorithm.
+    """Monic gcd of a and a denominator b = c * (b0 + b1*z)^e.
 
-    Works on the integer numerators: each pseudo-remainder is made primitive
-    before the next step, so the coefficients stay the size of the inputs'.
-    The last nonzero one is the gcd up to a scalar.
+    That is (z + b0/b1)^m, with m <= e the largest power of b0 + b1*z that
+    divides a, found by exact synthetic division; m = e when a is zero.
+    Any other b raises NotALinearPowerError.
     """
-    x, y = _primitive(a._nums), _primitive(b._nums)
-    while y:
-        _, remainder, _ = _pseudo_divide(x, y)
-        x, y = y, _primitive(remainder)
-    if not x:
-        return _poly([])
-    return _poly(x, x[-1])
+    form = _linear_power(b._nums)
+    if form is None:
+        raise NotALinearPowerError(
+            f"denominator {b.render()} is not a constant times a power of one linear factor"
+        )
+    _, (b0, b1), e = form
+    top = a._nums
+    m = 0
+    while m < e:
+        top = _divide_linear(top, b0, b1)
+        if top is None:
+            break
+        m += 1
+    return Polynomial([Fraction(b0, b1), 1]) ** m
 
 
 def substitute_cleared(
@@ -304,7 +307,8 @@ def substitute_cleared(
 
 
 class RationalGF:
-    """Rational function in canonical integer-primitive form."""
+    """Rational function over c * (b0 + b1*z)^e in canonical
+    integer-primitive form."""
 
     __slots__ = ("_num", "_den")
 
@@ -319,11 +323,13 @@ class RationalGF:
             return
         top, bottom = num._nums, den._nums
         common = poly_gcd(num, den)
-        if common.degree > 0:
-            # a monic canonical gcd has primitive numerators, so both
-            # quotients are exact in int (Gauss's lemma)
-            top = _pseudo_divide(top, common._nums)[0]
-            bottom = _pseudo_divide(bottom, common._nums)[0]
+        m = common.degree
+        if m:
+            # common = (z + b0/b1)^m, whose z^(m-1) coefficient is m*b0/b1
+            ratio = common.coefficient(m - 1) / m
+            for _ in range(m):
+                top = _divide_linear(top, ratio.numerator, ratio.denominator)
+                bottom = _divide_linear(bottom, ratio.numerator, ratio.denominator)
         # (top / num._den) / (bottom / den._den), over one denominator
         scale = lcm(num._den, den._den)
         top = [c * (scale // num._den) for c in top]
@@ -378,12 +384,6 @@ class RationalGF:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "RationalGF | CoeffsLike") -> "RationalGF":
-        other = _as_gf(other)
-        if other._num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalGF(self._num * other._den, self._den * other._num)
-
     def series(self, n: int) -> list[Fraction]:
         """First n Taylor coefficients at 0 by fraction-free long division.
 
@@ -412,20 +412,6 @@ class RationalGF:
             out.append(Fraction(t, power))
         return out
 
-    def _denominator_power_form(self) -> tuple[int, Polynomial, int] | None:
-        """Detect den = scale * base^e with integer base and e >= 2."""
-        den = self._den
-        e = den.degree
-        if e < 2 or den.coefficient(0) == 0:
-            return None
-        # for c*(b0+b1*z)^e the logarithmic derivative at 0 gives b1/b0
-        ratio = Fraction(den.coefficient(1), e * den.coefficient(0))
-        base = Polynomial([ratio.denominator, ratio.numerator])
-        scale = Fraction(den.coefficient(0), ratio.denominator**e)
-        if scale.denominator != 1 or den != base**e * scale:
-            return None
-        return int(scale), base, e
-
     def render(self, variable: str = "z") -> str:
         """Canonical text form, e.g. (1 - 3*z - z^2)/(1 + 2*z)^3."""
         num = self._num.render(variable)
@@ -433,13 +419,14 @@ class RationalGF:
             return num
         if self._num.degree > 0:
             num = f"({num})"
-        power_form = self._denominator_power_form()
-        if power_form is not None:
-            scale, base, e = power_form
-            den = f"({base.render(variable)})^{e}"
+        # a canonical denominator is c * (b0 + b1*z)^e; a power of z or
+        # of degree 1 is written out
+        scale, (b0, b1), e = _linear_power(self._den._nums)
+        if e >= 2 and b0:
+            den = f"({Polynomial([b0, b1]).render(variable)})^{e}"
             if scale != 1:
                 den = f"({scale}*{den})"
-        elif self._den.degree > 0:
+        elif e:
             den = f"({self._den.render(variable)})"
         else:
             den = self._den.render(variable)

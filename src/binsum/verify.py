@@ -372,8 +372,7 @@ def _check_c2_recurrence(J: int) -> Optional[str]:
 def _check_denominator(k: int, q: int) -> Optional[str]:
     den = B_gf(k, q).denominator
     full = Polynomial([1, q]) ** (k + 1)
-    _, remainder = divmod(full, den)
-    if remainder:
+    if den.degree > k + 1 or den != den.coefficient(0) * Polynomial([1, q]) ** den.degree:
         return f"denominator {den.render()} does not divide {full.render()}"
     return None
 

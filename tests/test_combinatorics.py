@@ -1,12 +1,11 @@
 """Unit tests for the exact combinatorial kernels.
 
-Oracles here are brute force: set-partition enumeration, falling-factorial
-expansion by convolution, and descent counting over explicit permutations.
+Oracles here are brute force: set-partition enumeration and falling-factorial
+expansion by convolution.
 """
 
 import math
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -14,7 +13,6 @@ from binsum import combinatorics
 from binsum.combinatorics import (
     alternating_binomial_sum,
     binomial,
-    eulerian,
     factorial,
     multinomial,
     normalize_scalar,
@@ -45,10 +43,6 @@ def falling_factorial_coefficients(n):
             new[d] += -i * c
         coeffs = new
     return coeffs
-
-
-def count_descents(p):
-    return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
 
 
 class TestFactorial:
@@ -209,7 +203,7 @@ class TestStirling2:
         assert stirling2(0, 1) == 0
 
 
-@pytest.mark.parametrize("triangle", [stirling2, stirling1_signed, eulerian])
+@pytest.mark.parametrize("triangle", [stirling2, stirling1_signed])
 @pytest.mark.parametrize("k", [-1, 0, 5])
 def test_negative_n_rejected_at_every_k(triangle, k):
     # the k range test must not answer 0 before n is checked
@@ -270,35 +264,6 @@ def test_rows_asked_in_order_take_one_step_each(monkeypatch):
     rows = [combinatorics._row("counted stirling2", m) for m in range(n + 1)]
     assert steps == list(range(1, n + 1))
     assert rows == [tuple(stirling2(m, k) for k in range(m + 1)) for m in range(n + 1)]
-
-
-class TestEulerian:
-    def test_examples(self):
-        assert eulerian(3, 1) == 4
-        assert eulerian(4, 2) == 11
-        for n in range(1, 10):
-            assert eulerian(n, 0) == 1
-
-    def test_against_descent_counting(self):
-        for n in range(1, 7):
-            counts = {}
-            for p in permutations(range(n)):
-                d = count_descents(p)
-                counts[d] = counts.get(d, 0) + 1
-            for k in range(n):
-                assert eulerian(n, k) == counts.get(k, 0)
-
-    def test_row_sums(self):
-        for n in range(1, 11):
-            assert sum(eulerian(n, k) for k in range(n)) == math.factorial(n)
-
-    def test_row_sum_at_large_n(self):
-        n = 1000
-        assert sum(eulerian(n, k) for k in range(n)) == math.factorial(n)
-
-    def test_out_of_range(self):
-        assert eulerian(3, 3) == 0
-        assert eulerian(3, -1) == 0
 
 
 class TestMultinomial:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from binsum import combinatorics
-from binsum.combinatorics import binomial, eulerian, factorial, stirling1_signed
+from binsum.combinatorics import binomial, factorial, stirling1_signed
 from binsum.errors import (
     NeedsMoreTermsError,
+    NotALinearPowerError,
     NotAPowerSeriesError,
     UnsupportedParameterError,
 )
@@ -150,6 +151,11 @@ class TestOmega:
         assert omega_poly(4) == Polynomial([0, 1, 14, 36, 24])
 
 
+def _eulerian(n, t):
+    """Eulerian number <n, t> by its explicit alternating sum."""
+    return sum((-1) ** j * binomial(n + 1, j) * (t + 1 - j) ** n for j in range(t + 2))
+
+
 class TestPowerSum:
     def test_examples(self):
         assert power_sum_gf(0) == RationalGF([1], [1, -1])
@@ -159,7 +165,7 @@ class TestPowerSum:
     def test_numerator_rows(self):
         for n in range(1, 9):
             numerator = power_sum_gf(n).numerator
-            row = [0] + [eulerian(n, t) for t in range(n)]
+            row = [0] + [_eulerian(n, t) for t in range(n)]
             assert [numerator.coefficient(i) for i in range(n + 1)] == row
 
     def test_series_enumerates_powers(self):
@@ -287,7 +293,12 @@ class TestReconstruct:
         assert str(info.value) == "need at least 5 terms to fit a recurrence of order 2, got 3"
 
     def test_fibonacci(self):
-        assert reconstruct_rational([1, 1, 2, 3, 5, 8]) == RationalGF([1], [1, -1, -1])
+        # 1/(1 - z - z^2) has two distinct roots, which RationalGF does not hold
+        with pytest.raises(NotALinearPowerError) as info:
+            reconstruct_rational([1, 1, 2, 3, 5, 8])
+        assert str(info.value) == (
+            "denominator 1 - z - z^2 is not a constant times a power of one linear factor"
+        )
 
     def test_zero_series(self):
         assert reconstruct_rational([0]) == RationalGF(0)
@@ -353,7 +364,8 @@ class TestRecurrence:
         # the polynomial kernel computes in int, and its accessors must hand
         # out Fractions: callers divide them, and int / int is a float
         exact = (int, Fraction)
-        for f in (A_gf(3, 2), B_gf(2, 5), RationalGF([Fraction(1, 3), 2], [3, -1, 2])):
+        rational = RationalGF([Fraction(1, 3), 2], 3 * Polynomial([2, -1]) ** 2)
+        for f in (A_gf(3, 2), B_gf(2, 5), rational):
             for p in (f.numerator, f.denominator):
                 assert all(isinstance(c, exact) for c in p.coefficients)
                 assert all(isinstance(p.coefficient(i), exact) for i in range(p.degree + 2))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from binsum.errors import NotAPowerSeriesError
+from binsum.errors import NotALinearPowerError, NotAPowerSeriesError
 from binsum.polynomials import Polynomial, RationalGF, poly_gcd, substitute_cleared
 
 
@@ -35,17 +35,6 @@ class TestPolynomial:
         assert Polynomial([1, 1]) ** 4 == Polynomial([1, 4, 6, 4, 1])
         assert Polynomial([2, 1]) ** 0 == Polynomial([1])
 
-    def test_divmod_exact(self):
-        product = Polynomial([1, 2]) * Polynomial([3, 0, 1])
-        quotient, remainder = divmod(product, Polynomial([1, 2]))
-        assert quotient == Polynomial([3, 0, 1])
-        assert not remainder
-
-    def test_divmod_with_remainder(self):
-        quotient, remainder = divmod(Polynomial([1, 0, 1]), Polynomial([1, 1]))
-        assert quotient * Polynomial([1, 1]) + remainder == Polynomial([1, 0, 1])
-        assert remainder.degree < 1
-
     def test_monomial(self):
         assert Polynomial.monomial(3, 2) == Polynomial([0, 0, 3])
 
@@ -60,12 +49,38 @@ class TestPolynomial:
 def test_poly_gcd():
     a = Polynomial([1, 0, -1])  # (1-z)(1+z)
     b = Polynomial([1, -2, 1])  # (1-z)^2
-    g = poly_gcd(a, b)
-    # monic in the leading coefficient, so (z - 1) up to sign convention
-    assert g.degree == 1
-    _, r1 = divmod(a, g)
-    _, r2 = divmod(b, g)
-    assert not r1 and not r2
+    # monic in the leading coefficient: z - 1
+    assert poly_gcd(a, b) == Polynomial([-1, 1])
+    # the largest power of the denominator's factor that divides a, at most e
+    assert poly_gcd(a * Polynomial([1, -1]) ** 3, b) == Polynomial([1, -2, 1])
+    assert poly_gcd(Polynomial([1, 1]), b) == Polynomial([1])
+    assert poly_gcd(Polynomial([0, 0, 5, 1]), Polynomial([0, 0, 0, 3])) == Polynomial([0, 0, 1])
+    # 3z - 2 over 4(2 - 3z)^2: monic z - 2/3, and zero takes the full power
+    assert poly_gcd(Polynomial([-2, 3]), 4 * Polynomial([2, -3]) ** 2) == Polynomial(
+        [Fraction(-2, 3), 1]
+    )
+    assert poly_gcd(Polynomial(), b) == Polynomial([1, -2, 1])
+    assert poly_gcd(a, Polynomial([7])) == Polynomial([1])
+
+
+@pytest.mark.parametrize(
+    "denominator, text",
+    [
+        ([1, 0, -1], "1 - z^2"),  # (1 - z)(1 + z)
+        ([2, -3, 1], "2 - 3*z + z^2"),  # (1 - z)(2 - z)
+        ([0, 1, 1], "z + z^2"),  # z (1 + z)
+        ([1, 1, 1], "1 + z + z^2"),  # irreducible
+        ([1, 0, 1], "1 + z^2"),  # irreducible, no z term
+        ([1, 3, 3, 2], "1 + 3*z + 3*z^2 + 2*z^3"),  # log-derivative at 0 fits (1 + z)^3
+    ],
+)
+def test_other_denominators_rejected(denominator, text):
+    message = f"denominator {text} is not a constant times a power of one linear factor"
+    with pytest.raises(NotALinearPowerError) as info:
+        RationalGF([1], denominator)
+    assert str(info.value) == message
+    with pytest.raises(NotALinearPowerError):
+        poly_gcd(Polynomial([1]), Polynomial(denominator))
 
 
 def _substitute_cleared_per_term(p, inner_num, inner_den, total_degree):
@@ -170,7 +185,8 @@ class TestRationalGFArithmetic:
         f = RationalGF([1], [1, -1])
         g = RationalGF([1, -1], [1])
         assert f * g == RationalGF([1], [1])
-        assert f / f == RationalGF([1], [1])
+        # division is multiplication by the reciprocal, built by hand
+        assert f * RationalGF(f.denominator, f.numerator) == RationalGF([1], [1])
 
     def test_mul_by_polynomial(self):
         f = RationalGF([1], [1, -2])
@@ -201,5 +217,9 @@ class TestRender:
         assert RationalGF([1, 2], [1, -1]).render("x") == "(1 + 2*x)/(1 - x)"
 
     def test_non_power_denominator_parenthesized(self):
-        f = RationalGF([1], [1, 1, 1])
-        assert f.render() == "1/(1 + z + z^2)"
+        # a first power is written out, scale included
+        f = RationalGF([1], [2, 6])
+        assert f.render() == "1/(2 + 6*z)"
+
+    def test_power_of_z_written_out(self):
+        assert RationalGF([1, 1], [0, 0, 2]).render() == "(1 + z)/(2*z^2)"

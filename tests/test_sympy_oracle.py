@@ -1,6 +1,7 @@
 """sympy as an independent oracle for the exact kernels: rational-top
 binomials, the alternating binomial sum, the Berlekamp-Massey series fit, the
-polynomial gcd and the canonical form of RationalGF.
+polynomial gcd and the canonical form of RationalGF.  The last three run on
+denominators c * (b0 + b1*z)^e, the one shape RationalGF holds.
 
 binsum itself is stdlib-only; these checks run where sympy is installed and
 are skipped elsewhere.
@@ -57,12 +58,17 @@ def _as_sympy(p, z):
     return sum((_rational(c) * z**i for i, c in enumerate(p.coefficients)), sympy.Integer(0))
 
 
+def _random_linear(rng):
+    """b0 + b1*z with b1 != 0, not always primitive."""
+    return Polynomial([rng.randint(-4, 4), rng.choice([-3, -2, -1, 1, 2, 3])])
+
+
 def test_reconstruct_matches_sympy_linear_recurrence():
     z = sympy.Symbol("z")
     rng = random.Random(1969)
     orders = set()
     for _ in range(50):
-        den = Polynomial([1, *_random_polynomial(rng, 3).coefficients, rng.randint(1, 4)])
+        den = Polynomial([rng.randint(1, 3), rng.choice([-3, -2, -1, 1, 2, 3])]) ** rng.randint(1, 4)
         num = _random_polynomial(rng, den.degree - 1)
         terms = RationalGF(num, den).series(2 * den.degree + 2)
         fit = reconstruct_rational(terms)
@@ -79,12 +85,13 @@ def test_reconstruct_matches_sympy_linear_recurrence():
 
 
 def _pairs_with_common_factor(rng, count):
-    """Random (a, b), most of them multiplied by a shared random factor."""
+    """Random (a, b) with b = c * L^e for a random linear L, e <= 4, and a a
+    random polynomial times L^m, m <= e."""
     for _ in range(count):
-        common = _random_polynomial(rng, 3)
-        if common.is_zero():
-            common = Polynomial([1])
-        yield _random_polynomial(rng, 4) * common, _random_polynomial(rng, 4) * common
+        base = _random_linear(rng)
+        e = rng.randint(0, 4)
+        scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+        yield _random_polynomial(rng, 4) * base ** rng.randint(0, e), scale * base**e
 
 
 def test_poly_gcd_matches_sympy_up_to_a_scalar():
@@ -108,8 +115,6 @@ def test_canonical_form_matches_sympy_cancel():
     z = sympy.Symbol("z")
     rng = random.Random(1971)
     for a, b in _pairs_with_common_factor(rng, 120):
-        if b.is_zero():
-            continue
         f = RationalGF(a, b)
         num, den = sympy.fraction(sympy.cancel(_as_sympy(a, z) / _as_sympy(b, z)))
         got_num, got_den = _as_sympy(f.numerator, z), _as_sympy(f.denominator, z)
