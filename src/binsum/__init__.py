@@ -52,7 +52,9 @@ from .oeis import (
 from .polynomials import Polynomial, RationalGF
 from .sequences import (
     a_double_sum,
+    a_double_sum_terms,
     a_from_b,
+    a_from_b_terms,
     a_hypergeom,
     a_single_sum,
     b_direct,
@@ -88,7 +90,9 @@ __all__ = [
     "UnsupportedParameterError",
     "VerificationReport",
     "a_double_sum",
+    "a_double_sum_terms",
     "a_from_b",
+    "a_from_b_terms",
     "a_hypergeom",
     "a_single_sum",
     "b_direct",

@@ -30,7 +30,7 @@ from .genfunc import (
 )
 from .polynomials import RationalGF
 from .sequences import (
-    a_double_sum,
+    a_double_sum_terms,
     a_hypergeom,
     a_single_sum,
     b_direct,
@@ -217,7 +217,7 @@ def _seq_values(args) -> list:
     via = args.via or "direct"
     # built per call, so the evaluators are the ones the module holds now
     routes = {
-        ("a", "direct"): a_double_sum,
+        ("a", "direct"): a_double_sum_terms,
         ("a", "single"): a_single_sum,
         ("a", "series"): a_hypergeom,
         ("b", "direct"): b_direct,
@@ -229,6 +229,9 @@ def _seq_values(args) -> list:
         only = "only " if len(vias) == 1 else ""
         raise _UsageError(f"family {family} supports {only}--via {' or '.join(vias)}")
     evaluate = routes[family, via]
+    if (family, via) == ("a", "direct"):
+        # the double sum's inner sums are shared by the whole prefix
+        return evaluate(k_or_J, q, args.n_max)
     return [evaluate(k_or_J, q, n) for n in range(args.n_max)]
 
 

@@ -14,6 +14,7 @@ verification suites compare exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .combinatorics import (
@@ -62,17 +63,43 @@ def as_integer(value: Scalar) -> int:
     return value
 
 
+def _signed_binomial_sum(m: int, values: list) -> Scalar:
+    """sum_{j=0..m} (-1)^j C(m, j) values[j]: the outer sum of both transform routes of a."""
+    comb = math.comb
+    total: Scalar = 0
+    for j in range(m + 1):
+        term = comb(m, j) * values[j]
+        total += -term if j & 1 else term
+    return normalize_scalar(total)
+
+
+def _inner_sums(k: int, q: Scalar, n: int) -> list:
+    """The kernel's alternating sums over i for j < n, one call each.
+
+    Each is b(k, q; j), and the double sum's inner sum is (-1)^j times it.
+    """
+    return [alternating_binomial_sum(j, j + k, q, j + k) for j in range(n)]
+
+
 def a_double_sum(k: int, q: Scalar, m: int) -> Scalar:
     """The defining double sum for a(k, q; m).  Rational q is allowed."""
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
     q = _check_q(q)
-    total: Scalar = 0
-    for j in range(m + 1):
-        # the inner sum over i is (-1)^j times the kernel's alternating sum
-        term = binomial(m, j) * alternating_binomial_sum(j, j + k, q, j + k)
-        total += -term if j & 1 else term
-    return normalize_scalar(total)
+    return _signed_binomial_sum(m, _inner_sums(k, q, m + 1))
+
+
+def a_double_sum_terms(k: int, q: Scalar, n: int) -> list:
+    """a(k, q; 0..n-1) by the defining double sum.
+
+    The inner sum over i does not depend on m, so each is evaluated once
+    for the whole prefix and every outer sum reads the same list.
+    """
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _check_q(q)
+    inner = _inner_sums(k, q, n)
+    return [_signed_binomial_sum(m, inner) for m in range(n)]
 
 
 def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
@@ -105,10 +132,16 @@ def b_direct(k: int, q: Scalar, j: int) -> Scalar:
 def a_from_b(k: int, q: Scalar, m: int) -> Scalar:
     """a as the sign-alternating binomial transform of b: sum_j (-1)^j C(m,j) b(j)."""
     _check_nonnegative("m", m)
-    total: Scalar = 0
-    for j in range(m + 1):
-        total += (-1) ** j * binomial(m, j) * b_direct(k, q, j)
-    return normalize_scalar(total)
+    return _signed_binomial_sum(m, [b_direct(k, q, j) for j in range(m + 1)])
+
+
+def a_from_b_terms(k: int, q: Scalar, n: int) -> list:
+    """a(k, q; 0..n-1) as the binomial transform of b, one b_direct call per index."""
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _check_q(q)
+    b = [b_direct(k, q, j) for j in range(n)]
+    return [_signed_binomial_sum(m, b) for m in range(n)]
 
 
 def b_k1_closed(k: int, j: int) -> int:

@@ -40,8 +40,8 @@ from .genfunc import (
 from .polynomials import Polynomial, RationalGF
 from .sequences import (
     _check_nonnegative,
-    a_double_sum,
-    a_from_b,
+    a_double_sum_terms,
+    a_from_b_terms,
     a_hypergeom,
     a_single_sum,
     as_integer,
@@ -177,8 +177,10 @@ def _first_mismatch(message: str, rows: Iterable[tuple]) -> Optional[str]:
     """Complain at the first (got, want, *where) row with got != want.
 
     The message is formatted with the row's where-values as positional
-    fields and got and want as named ones.  Rows are read lazily, so
-    nothing past the first mismatch is evaluated.
+    fields and got and want as named ones.  Rows are read lazily, so no
+    row past the first mismatch is evaluated.  The a-agreement and
+    rational-q checks read prefixes of a, and each prefix is built whole
+    before the first comparison that reads it.
     """
     for got, want, *where in rows:
         if got != want:
@@ -190,19 +192,16 @@ def _first_mismatch(message: str, rows: Iterable[tuple]) -> Optional[str]:
 
 
 def _check_a_agreement(k: int, q: int, m_max: int) -> Optional[str]:
+    double = a_double_sum_terms(k, q, m_max + 1)
+    via_b = a_from_b_terms(k, q, m_max + 1)
     routes = (
-        ("single-sum", a_single_sum),
-        ("alternating-b", a_from_b),
-        ("terminating-series", a_hypergeom),
+        ("single-sum", lambda m: a_single_sum(k, q, m)),
+        ("alternating-b", via_b.__getitem__),
+        ("terminating-series", lambda m: a_hypergeom(k, q, m)),
     )
     return _first_mismatch(
         "m={0}: {1} gave {got}, double sum gave {want}",
-        (
-            (route(k, q, m), want, m, name)
-            for m in range(m_max + 1)
-            for want in (a_double_sum(k, q, m),)
-            for name, route in routes
-        ),
+        ((route(m), double[m], m, name) for m in range(m_max + 1) for name, route in routes),
     )
 
 
@@ -224,8 +223,9 @@ def _check_rational_q(q: Fraction, k_top: int, m_top: int) -> Optional[str]:
     return _first_mismatch(
         "k={0}, m={1}: single sum gave {got}, alternating b gave {want}",
         (
-            (a_single_sum(k, q, m), a_from_b(k, q, m), k, m)
+            (a_single_sum(k, q, m), via_b[m], k, m)
             for k in range(k_top + 1)
+            for via_b in (a_from_b_terms(k, q, m_top + 1),)
             for m in range(m_top + 1)
         ),
     )
@@ -377,12 +377,17 @@ def _check_denominator(k: int, q: int) -> Optional[str]:
     return None
 
 
+def _b_direct_terms(k: int, q: int, n: int) -> list:
+    return [b_direct(k, q, j) for j in range(n)]
+
+
 def _check_fidelity(
-    family: str, build, evaluate, k: int, q: int, horizon: int
+    family: str, build, terms, k: int, q: int, horizon: int
 ) -> Optional[str]:
+    """terms(k, q, n) is the family's defining prefix of length n."""
     gf = build(k, q)
     rec = recurrence_from_gf(gf)
-    direct = [Fraction(evaluate(k, q, n)) for n in range(horizon)]
+    direct = [Fraction(value) for value in terms(k, q, horizon)]
     if gf.series(horizon) != direct:
         return "series of the rational function diverges from the evaluator"
     # gf and recur's route reads only k+1 terms, so matching the construction,
@@ -409,7 +414,7 @@ def _check_roundtrip(rows) -> Optional[str]:
 
 def _tables_cases(bounds: Bounds) -> list[CaseResult]:
     horizon = 41
-    families = (("a", A_gf, a_double_sum), ("b", B_gf, b_direct))
+    families = (("a", A_gf, a_double_sum_terms), ("b", B_gf, _b_direct_terms))
     tables = (
         ("b-table", [(f"k{r.k}-q{_q_tag(r.q)}", r.gf) for r in B_TABLE]),
         ("a-table", [(f"k{r.k}-q{r.q}", r.gf) for r in A_TABLE]),
@@ -471,9 +476,9 @@ def _tables_cases(bounds: Bounds) -> list[CaseResult]:
                 (
                     f"tables/recurrence-fidelity/{tag}-k{k}-q{q}",
                     dict(family=tag, k=k, q=q, index_range=f"0..{horizon - 1}"),
-                    (tag, build, evaluate, k, q, horizon),
+                    (tag, build, terms, k, q, horizon),
                 )
-                for tag, build, evaluate in families
+                for tag, build, terms in families
                 for k in range(bounds.k_max + 1)
                 for q in range(bounds.q_max + 1)
             ],

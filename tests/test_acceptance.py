@@ -21,7 +21,7 @@ from binsum.cli import main as cli_main
 from binsum.genfunc import A_gf, B_gf
 from binsum.oeis import PINNED_MAPPINGS
 from binsum.polynomials import Polynomial
-from binsum.sequences import a_double_sum, b_direct
+from binsum.sequences import a_double_sum_terms, b_direct
 from binsum.tables import A_TABLE, B_TABLE, C_TABLE
 
 
@@ -150,7 +150,7 @@ def test_criterion_07_recurrence_fidelity(capsys):
     failures = _failures(
         verify._check_fidelity,
         [
-            (f"k={k} q={q}", ("a", A_gf, a_double_sum, k, q, 41))
+            (f"k={k} q={q}", ("a", A_gf, a_double_sum_terms, k, q, 41))
             for k in range(6)
             for q in range(6)
         ],

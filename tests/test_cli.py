@@ -143,7 +143,7 @@ class TestSeq:
         def failing(k, q, n):
             raise ArithmeticError("direct route called")
 
-        monkeypatch.setattr(cli, "a_double_sum", failing)
+        monkeypatch.setattr(cli, "a_double_sum_terms", failing)
         monkeypatch.setattr(cli, "b_direct", failing)
         for family in "ab":
             args = ("seq", "--family", family, "--k", "2", "--n-max", "5")

@@ -32,7 +32,15 @@ from binsum.genfunc import (  # noqa: E402
     recurrence_terms,
 )
 from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
-from binsum.sequences import a_double_sum, a_single_sum, b_direct, c_direct  # noqa: E402
+from binsum.sequences import (  # noqa: E402
+    a_double_sum,
+    a_double_sum_terms,
+    a_from_b,
+    a_from_b_terms,
+    a_single_sum,
+    b_direct,
+    c_direct,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -374,6 +382,23 @@ rational_q = st.builds(
 @given(rational_q, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10))
 def test_single_sum_is_the_double_sum_at_rational_q(q, k, m):
     assert a_single_sum(k, q, m) == a_double_sum(k, q, m)
+
+
+# The prefix forms evaluate each inner sum, or each b term, once and share
+# it across the prefix; index by index they must be their scalar.
+prefix_routes = st.sampled_from([(a_double_sum_terms, a_double_sum), (a_from_b_terms, a_from_b)])
+
+
+@SETTINGS
+@given(
+    prefix_routes,
+    st.integers(min_value=0, max_value=6),
+    st.one_of(family_q, rational_q),
+    st.integers(min_value=0, max_value=14),
+)
+def test_prefix_is_the_scalar_at_every_index(routes, k, q, n):
+    terms, scalar = routes
+    assert terms(k, q, n) == [scalar(k, q, m) for m in range(n)]
 
 
 @SETTINGS

@@ -10,7 +10,9 @@ from binsum.errors import UnsupportedParameterError
 from binsum.genfunc import paper_gf, recurrence_terms
 from binsum.sequences import (
     a_double_sum,
+    a_double_sum_terms,
     a_from_b,
+    a_from_b_terms,
     a_hypergeom,
     a_single_sum,
     as_integer,
@@ -219,6 +221,23 @@ class TestDomainErrors:
         # computed as 3602879701896397/2**55, so no float is taken, even 2.0
         with pytest.raises(ValueError, match=rf"^q must be an int or a Fraction, not the float {q}$"):
             call(q)
+
+    @pytest.mark.parametrize(
+        "terms, scalar", [(a_double_sum_terms, a_double_sum), (a_from_b_terms, a_from_b)]
+    )
+    def test_prefix_takes_the_scalar_errors(self, terms, scalar):
+        assert terms(3, 2, 0) == []
+        with pytest.raises(ValueError, match="^n must be a nonnegative integer, got -1$"):
+            terms(1, 2, -1)
+        for k, q in ((-1, 2), (1, 0.5)):
+            with pytest.raises(ValueError) as want:
+                scalar(k, q, 3)
+            # refused before the first term, so the empty prefix is too
+            for n in (0, 3):
+                with pytest.raises(ValueError) as got:
+                    terms(k, q, n)
+                assert str(got.value) == str(want.value)
+                assert "\n" not in str(got.value)
 
     def test_hypergeometric_routes_need_integer_q(self):
         with pytest.raises(UnsupportedParameterError):

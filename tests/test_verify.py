@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from binsum.polynomials import Polynomial, RationalGF
+from binsum.sequences import a_single_sum
 from binsum.verify import Bounds, CaseResult, VerificationReport, run_suite
 
 
@@ -116,9 +117,13 @@ class TestFailureText:
     def test_route_mismatch(self, monkeypatch):
         import binsum.verify as verify_mod
 
-        b_real, a_real = verify_mod.b_hypergeom, verify_mod.a_from_b
+        b_real, a_real = verify_mod.b_hypergeom, verify_mod.a_from_b_terms
         monkeypatch.setattr(verify_mod, "b_hypergeom", lambda k, q, j: b_real(k, q, j) + (j == 3))
-        monkeypatch.setattr(verify_mod, "a_from_b", lambda k, q, m: a_real(k, q, m) + (m == 2))
+        monkeypatch.setattr(
+            verify_mod,
+            "a_from_b_terms",
+            lambda k, q, n: [v + (m == 2) for m, v in enumerate(a_real(k, q, n))],
+        )
         report = run_suite("formulas", Bounds(k_max=1, q_max=2, m_max=3, j_max=4))
         cases = cases_by_id(report)
         b_case = cases["formulas/b-agreement/k1-q2"]
@@ -127,6 +132,25 @@ class TestFailureText:
         a_case = cases["formulas/a-agreement/k1-q2"]
         assert a_case.status == "fail"
         assert a_case.actual == "m=2: alternating-b gave 28, double sum gave 27"
+
+    def test_a_agreement_reads_b_direct(self, monkeypatch):
+        # the b-transform prefix sums b_direct's values, not the kernel's, so
+        # one wrong b term fails every a-agreement case at that q from there on
+        import binsum.sequences as sequences_mod
+
+        real = sequences_mod.b_direct
+        monkeypatch.setattr(
+            sequences_mod, "b_direct", lambda k, q, j: real(k, q, j) + (j == 20 and q == 3)
+        )
+        report = run_suite("formulas", Bounds(k_max=2, q_max=3, m_max=20, j_max=0))
+        cases = cases_by_id(report)
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == [f"formulas/a-agreement/k{k}-q3" for k in range(3)]
+        for k in range(3):
+            want = a_single_sum(k, 3, 20)
+            assert cases[f"formulas/a-agreement/k{k}-q3"].actual == (
+                f"m=20: alternating-b gave {want + 1}, double sum gave {want}"
+            )
 
     def test_wrong_single_sum_at_rational_q_fails(self, monkeypatch):
         # gf --family A --reconstruct reads a_single_sum at rational q, so a
@@ -147,7 +171,7 @@ class TestFailureText:
         assert case.actual == "k=1, m=4: single sum gave 89/8, alternating b gave 81/8"
 
     def test_kernel_wrong_only_at_rational_step_fails(self, monkeypatch):
-        # a_double_sum and a_single_sum share the alternating-sum kernel,
+        # a_double_sum_terms and a_single_sum share the alternating-sum kernel,
         # and every integer-q case runs its int branch, so a slip in the
         # Fraction branch alone must still fail both rational-q cases
         import binsum.sequences as sequences_mod
@@ -284,10 +308,10 @@ class TestFailureText:
         "name, point, bump, suite, bounds, case_id, complaint",
         [
             pytest.param(
-                "a_double_sum", (1, 2, 5), lambda v: v + 1, "tables", Bounds(k_max=1, q_max=2),
-                "tables/recurrence-fidelity/a-k1-q2",
+                "a_double_sum_terms", (1, 2, 41), lambda v: v[:5] + [v[5] + 1] + v[6:],
+                "tables", Bounds(k_max=1, q_max=2), "tables/recurrence-fidelity/a-k1-q2",
                 "series of the rational function diverges from the evaluator",
-                id="a_double_sum",
+                id="a_double_sum_terms",
             ),
             pytest.param(
                 "B_gf", (2, 3),
