@@ -57,6 +57,7 @@ from .sequences import (
     a_from_b_terms,
     a_hypergeom,
     a_single_sum,
+    a_single_sum_terms,
     b_direct,
     b_hypergeom,
     b_k1_closed,
@@ -95,6 +96,7 @@ __all__ = [
     "a_from_b_terms",
     "a_hypergeom",
     "a_single_sum",
+    "a_single_sum_terms",
     "b_direct",
     "b_hypergeom",
     "b_k1_closed",

@@ -32,7 +32,7 @@ from .polynomials import RationalGF
 from .sequences import (
     a_double_sum_terms,
     a_hypergeom,
-    a_single_sum,
+    a_single_sum_terms,
     b_direct,
     b_hypergeom,
     c_direct,
@@ -208,6 +208,11 @@ def _family_params(args) -> tuple:
     return k_or_J, int(args.q) if args.q.denominator == 1 else args.q
 
 
+def _per_index(evaluate):
+    """The prefix function (k, q, n) -> [evaluate(k, q, 0..n-1)] of a scalar route."""
+    return lambda k, q, n: [evaluate(k, q, i) for i in range(n)]
+
+
 def _seq_values(args) -> list:
     family = args.family
     k_or_J, q = _family_params(args)
@@ -215,24 +220,21 @@ def _seq_values(args) -> list:
         # C-finite at integer q: k+1 seed terms, then the recurrence
         return recurrence_terms(family, k_or_J, q, args.n_max)
     via = args.via or "direct"
-    # built per call, so the evaluators are the ones the module holds now
+    # each route maps (k or J, q, n) to the first n terms; built per call,
+    # so the evaluators are the ones the module holds now
     routes = {
         ("a", "direct"): a_double_sum_terms,
-        ("a", "single"): a_single_sum,
-        ("a", "series"): a_hypergeom,
-        ("b", "direct"): b_direct,
-        ("b", "series"): b_hypergeom,
-        ("c", "direct"): c_direct,
+        ("a", "single"): a_single_sum_terms,
+        ("a", "series"): _per_index(a_hypergeom),
+        ("b", "direct"): _per_index(b_direct),
+        ("b", "series"): _per_index(b_hypergeom),
+        ("c", "direct"): _per_index(c_direct),
     }
     if (family, via) not in routes:
         vias = [route for f, route in routes if f == family]
         only = "only " if len(vias) == 1 else ""
         raise _UsageError(f"family {family} supports {only}--via {' or '.join(vias)}")
-    evaluate = routes[family, via]
-    if (family, via) == ("a", "direct"):
-        # the double sum's inner sums are shared by the whole prefix
-        return evaluate(k_or_J, q, args.n_max)
-    return [evaluate(k_or_J, q, n) for n in range(args.n_max)]
+    return routes[family, via](k_or_J, q, args.n_max)
 
 
 def _cmd_seq(args) -> int:

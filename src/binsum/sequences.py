@@ -15,6 +15,7 @@ verification suites compare exactly.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .combinatorics import (
@@ -63,14 +64,48 @@ def as_integer(value: Scalar) -> int:
     return value
 
 
-def _signed_binomial_sum(m: int, values: list) -> Scalar:
-    """sum_{j=0..m} (-1)^j C(m, j) values[j]: the outer sum of both transform routes of a."""
+def _over_one_denominator(values: list) -> tuple[list, int]:
+    """values as int numerators over the lcm of their denominators.
+
+    Integer values come back as they are, over 1.
+    """
+    denominator = math.lcm(*(v.denominator for v in values if type(v) is not int))
+    if denominator == 1:
+        return values, 1
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
+def _signed_binomial_row(m: int) -> list:
+    """(-1)^j C(m, j) for j = 0..m."""
     comb = math.comb
-    total: Scalar = 0
-    for j in range(m + 1):
-        term = comb(m, j) * values[j]
-        total += -term if j & 1 else term
-    return normalize_scalar(total)
+    return [-comb(m, j) if j & 1 else comb(m, j) for j in range(m + 1)]
+
+
+def _signed_binomial_rows(n: int):
+    """The rows (-1)^j C(m, j), j = 0..m, for m < n, each from the one before."""
+    row = [1]
+    for m in range(n):
+        if m:
+            row = [a - b for a, b in zip(row + [0], [0] + row)]
+        yield row
+
+
+def _signed_binomial_sum(row: list, numerators: list, denominator: int) -> Scalar:
+    """sum_j (-1)^j C(m, j) numerators[j] over denominator, for row m.
+
+    One pass in int, then one Fraction: the outer sum of both transform
+    routes of a, and the sum over i of the single-sum prefix.
+    """
+    total = sum(map(operator.mul, row, numerators))
+    if denominator == 1:
+        return total
+    return normalize_scalar(Fraction(total, denominator))
+
+
+def _outer_sums(values: list, rows) -> list:
+    """sum_{j=0..m} (-1)^j C(m, j) values[j] for each row m, over one shared denominator."""
+    numerators, denominator = _over_one_denominator(values)
+    return [_signed_binomial_sum(row, numerators, denominator) for row in rows]
 
 
 def _inner_sums(k: int, q: Scalar, n: int) -> list:
@@ -86,7 +121,7 @@ def a_double_sum(k: int, q: Scalar, m: int) -> Scalar:
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
     q = _check_q(q)
-    return _signed_binomial_sum(m, _inner_sums(k, q, m + 1))
+    return _outer_sums(_inner_sums(k, q, m + 1), [_signed_binomial_row(m)])[0]
 
 
 def a_double_sum_terms(k: int, q: Scalar, n: int) -> list:
@@ -98,8 +133,7 @@ def a_double_sum_terms(k: int, q: Scalar, n: int) -> list:
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
     q = _check_q(q)
-    inner = _inner_sums(k, q, n)
-    return [_signed_binomial_sum(m, inner) for m in range(n)]
+    return _outer_sums(_inner_sums(k, q, n), _signed_binomial_rows(n))
 
 
 def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
@@ -118,6 +152,49 @@ def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
     return -total if m & 1 else total
 
 
+def a_single_sum_terms(k: int, q: Scalar, n: int) -> list:
+    """a(k, q; 0..n-1) by the single sum, each binomial carried from m to m+1.
+
+    From index m-1 to m every top k + (q+1)i stays and the bottom b = k+m
+    rises by one, so column i steps by C(t, b) = C(t, b-1) (t-b+1) / b
+    (Petkovsek, Wilf & Zeilberger, A = B, ch. 3) and column m is new.  At
+    integer q the division is exact and each column is the binomial itself.
+    At q + 1 = p/d the column is the integer falling product of
+    N = kd + pi in steps of d, which gains the factor N - (b-1)d, and the
+    whole row shares the denominator d^b b!, as in alternating_binomial_sum.
+    Each term is still the literal signed sum over the row.
+    """
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _check_q(q)
+    step = q + 1
+    columns: list = []
+    terms = []
+    rows = enumerate(_signed_binomial_rows(n))
+    if type(step) is int:
+        for m, row in rows:
+            bottom = k + m
+            # t - b + 1 = step*i - m + 1; a column already 0 stays 0
+            columns = [c * (step * i - m + 1) // bottom for i, c in enumerate(columns)]
+            columns.append(math.comb(k + step * m, bottom))
+            total = _signed_binomial_sum(row, columns, 1)
+            terms.append(-total if m & 1 else total)
+        return terms
+    p, d = step.numerator, step.denominator
+    denominator = d**k * math.factorial(k)
+    for m, row in rows:
+        bottom = k + m
+        if m:
+            denominator *= d * bottom
+            # N - (b-1)d = p*i - (m-1)d
+            columns = [c * (p * i - (m - 1) * d) for i, c in enumerate(columns)]
+        top = k * d + p * m
+        columns.append(math.prod(range(top, top - bottom * d, -d)))
+        total = _signed_binomial_sum(row, columns, denominator)
+        terms.append(-total if m & 1 else total)
+    return terms
+
+
 def b_direct(k: int, q: Scalar, j: int) -> Scalar:
     """The defining alternating sum for b(k, q; j).  Rational q is allowed."""
     _check_nonnegative("k", k)
@@ -132,7 +209,7 @@ def b_direct(k: int, q: Scalar, j: int) -> Scalar:
 def a_from_b(k: int, q: Scalar, m: int) -> Scalar:
     """a as the sign-alternating binomial transform of b: sum_j (-1)^j C(m,j) b(j)."""
     _check_nonnegative("m", m)
-    return _signed_binomial_sum(m, [b_direct(k, q, j) for j in range(m + 1)])
+    return _outer_sums([b_direct(k, q, j) for j in range(m + 1)], [_signed_binomial_row(m)])[0]
 
 
 def a_from_b_terms(k: int, q: Scalar, n: int) -> list:
@@ -140,8 +217,7 @@ def a_from_b_terms(k: int, q: Scalar, n: int) -> list:
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
     q = _check_q(q)
-    b = [b_direct(k, q, j) for j in range(n)]
-    return [_signed_binomial_sum(m, b) for m in range(n)]
+    return _outer_sums([b_direct(k, q, j) for j in range(n)], _signed_binomial_rows(n))
 
 
 def b_k1_closed(k: int, j: int) -> int:

@@ -152,6 +152,21 @@ class TestSeq:
                 2, "", "binsum: error: direct route called\n"
             )
 
+    def test_single_route_reads_the_prefix(self, capsys, monkeypatch):
+        calls = []
+
+        def prefix(k, q, n):
+            calls.append((k, q, n))
+            return list(range(n))
+
+        monkeypatch.setattr(cli, "a_single_sum_terms", prefix)
+        code, out, err = run(
+            capsys, "seq", "--family", "a", "--k", "2", "--q", "1/2", "--n-max", "4",
+            "--via", "single",
+        )
+        assert (code, out, err) == (0, "0 1 2 3\n", "")
+        assert calls == [(2, Fraction(1, 2), 4)]
+
     def test_default_route_at_large_k_builds_no_recurrence(self, capsys, monkeypatch):
         # with n_max <= k+1 the seed terms are the whole answer; the k+1
         # coefficients of the annihilator, of up to ~30,000 bits each at

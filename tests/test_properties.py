@@ -38,6 +38,7 @@ from binsum.sequences import (  # noqa: E402
     a_from_b,
     a_from_b_terms,
     a_single_sum,
+    a_single_sum_terms,
     b_direct,
     c_direct,
 )
@@ -399,6 +400,26 @@ prefix_routes = st.sampled_from([(a_double_sum_terms, a_double_sum), (a_from_b_t
 def test_prefix_is_the_scalar_at_every_index(routes, k, q, n):
     terms, scalar = routes
     assert terms(k, q, n) == [scalar(k, q, m) for m in range(n)]
+
+
+# The single-sum prefix carries each C(k + (q+1)i, k+m) from m to m+1,
+# exactly at integer q and over one shared denominator at q + 1 = p/d.
+@SETTINGS
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.one_of(
+        st.integers(min_value=0, max_value=5),
+        st.builds(
+            Fraction, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=5)
+        ),
+    ),
+    st.integers(min_value=0, max_value=40),
+)
+def test_single_sum_prefix_is_the_scalar(k, q, n):
+    terms = a_single_sum_terms(k, q, n)
+    scalar = [a_single_sum(k, q, m) for m in range(n)]
+    assert terms == scalar
+    assert [type(t) for t in terms] == [type(t) for t in scalar]
 
 
 @SETTINGS

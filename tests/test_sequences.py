@@ -15,6 +15,7 @@ from binsum.sequences import (
     a_from_b_terms,
     a_hypergeom,
     a_single_sum,
+    a_single_sum_terms,
     as_integer,
     b_direct,
     b_hypergeom,
@@ -223,7 +224,12 @@ class TestDomainErrors:
             call(q)
 
     @pytest.mark.parametrize(
-        "terms, scalar", [(a_double_sum_terms, a_double_sum), (a_from_b_terms, a_from_b)]
+        "terms, scalar",
+        [
+            (a_double_sum_terms, a_double_sum),
+            (a_from_b_terms, a_from_b),
+            (a_single_sum_terms, a_single_sum),
+        ],
     )
     def test_prefix_takes_the_scalar_errors(self, terms, scalar):
         assert terms(3, 2, 0) == []
