@@ -30,6 +30,7 @@ from .genfunc import (
 )
 from .polynomials import RationalGF
 from .sequences import (
+    _per_index,
     a_double_sum_terms,
     a_hypergeom,
     a_single_sum_terms,
@@ -206,11 +207,6 @@ def _family_params(args) -> tuple:
     )
     _require(getattr(args, other) is None, f"family {args.family} takes --{name}, not --{other}")
     return k_or_J, int(args.q) if args.q.denominator == 1 else args.q
-
-
-def _per_index(evaluate):
-    """The prefix function (k, q, n) -> [evaluate(k, q, 0..n-1)] of a scalar route."""
-    return lambda k, q, n: [evaluate(k, q, i) for i in range(n)]
 
 
 def _seq_values(args) -> list:

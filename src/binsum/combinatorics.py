@@ -23,6 +23,13 @@ def normalize_scalar(x: Scalar) -> Scalar:
     return x
 
 
+def _refuse_float(name: str, value):
+    """value, unless it is a float: Fraction(0.1) is 3602879701896397/2**55, not 1/10."""
+    if isinstance(value, float):
+        raise ValueError(f"{name} must be an int or a Fraction, not the float {value!r}")
+    return value
+
+
 def binomial(top: Scalar, bottom: int) -> Scalar:
     """Generalized binomial coefficient top over bottom.
 
@@ -38,7 +45,7 @@ def binomial(top: Scalar, bottom: int) -> Scalar:
     # plain ints skip normalize_scalar, whose isinstance(x, Fraction) is an
     # ABC check and costs more than math.comb on small tops
     if type(top) is not int:
-        top = normalize_scalar(top)
+        top = normalize_scalar(_refuse_float("a binomial top", top))
     if isinstance(top, int):
         if top >= 0:
             return math.comb(top, bottom)
@@ -71,7 +78,7 @@ def alternating_binomial_sum(n: int, offset: int, step: Scalar, bottom: int) -> 
             term = comb(n, i) * comb(offset + step * i, bottom)
             total += -term if i & 1 else term
         return total
-    p, d = step.numerator, step.denominator
+    p, d = _refuse_float("step", step).numerator, step.denominator
     start, stop = offset * d, offset * d - bottom * d
     for i in range(n + 1):
         shift = p * i

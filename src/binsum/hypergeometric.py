@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import Scalar, normalize_scalar
+from .combinatorics import Scalar, _refuse_float, normalize_scalar
 from .errors import NonTerminatingSeriesError
 
 
@@ -52,9 +52,9 @@ def hyp_terminating(
     i >= 1 - b, so the first such index ends the sum; a vanishing numerator
     factor makes every later term zero.
     """
-    order = termination_order(numerator_params)
-    nums = [Fraction(a) for a in numerator_params]
-    dens = [Fraction(b) for b in denominator_params]
+    nums = [Fraction(_refuse_float("a series parameter", a)) for a in numerator_params]
+    dens = [Fraction(_refuse_float("a series parameter", b)) for b in denominator_params]
+    order = termination_order(nums)
     pole = order + 1
     for b in dens:
         if b.denominator == 1 and b.numerator <= 0:

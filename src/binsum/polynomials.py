@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .combinatorics import Scalar
+from .combinatorics import Scalar, _refuse_float
 from .errors import NotALinearPowerError, NotAPowerSeriesError
 
 CoeffsLike = Union["Polynomial", Sequence[Scalar], int, Fraction]
@@ -70,7 +70,10 @@ class Polynomial:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[Scalar] = ()) -> None:
-        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coefficients]
+        values = [
+            c if isinstance(c, (int, Fraction)) else Fraction(_refuse_float("a coefficient", c))
+            for c in coefficients
+        ]
         den = lcm(*[c.denominator for c in values])
         self._nums, self._den = _canonical(
             [c.numerator * (den // c.denominator) for c in values], den
@@ -82,7 +85,7 @@ class Polynomial:
             return value
         if isinstance(value, (int, Fraction)):
             return _poly([value.numerator], value.denominator)
-        return cls(value)
+        return cls(_refuse_float("a coefficient", value))
 
     @classmethod
     def monomial(cls, coefficient: Scalar, power: int) -> "Polynomial":
@@ -255,26 +258,40 @@ def render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of a and a denominator b = c * (b0 + b1*z)^e.
+def _cancel_linear(
+    a: Polynomial, b: Polynomial
+) -> tuple[Sequence[int], Sequence[int], tuple[int, int], int]:
+    """(top, bottom, (b0, b1), m): the numerators of a and of a denominator
+    b = c * (b0 + b1*z)^e, both divided by b0 + b1*z while top still divides.
 
-    That is (z + b0/b1)^m, with m <= e the largest power of b0 + b1*z that
-    divides a, found by exact synthetic division; m = e when a is zero.
-    Any other b raises NotALinearPowerError.
+    m <= e counts the divisions, found by exact synthetic division; m = e
+    when a is zero.  Any other b raises NotALinearPowerError.
     """
     form = _linear_power(b._nums)
     if form is None:
         raise NotALinearPowerError(
             f"denominator {b.render()} is not a constant times a power of one linear factor"
         )
-    _, (b0, b1), e = form
-    top = a._nums
+    _, base, e = form
+    top, bottom = a._nums, b._nums
     m = 0
     while m < e:
-        top = _divide_linear(top, b0, b1)
-        if top is None:
+        quotient = _divide_linear(top, *base)
+        if quotient is None:
             break
+        top, bottom = quotient, _divide_linear(bottom, *base)
         m += 1
+    return top, bottom, base, m
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of a and a denominator b = c * (b0 + b1*z)^e.
+
+    That is (z + b0/b1)^m, with m <= e the largest power of b0 + b1*z that
+    divides a (see _cancel_linear); m = e when a is zero.  Any other b
+    raises NotALinearPowerError.
+    """
+    _, _, (b0, b1), m = _cancel_linear(a, b)
     return Polynomial([Fraction(b0, b1), 1]) ** m
 
 
@@ -321,15 +338,7 @@ class RationalGF:
             self._num = _poly([])
             self._den = _poly([1])
             return
-        top, bottom = num._nums, den._nums
-        common = poly_gcd(num, den)
-        m = common.degree
-        if m:
-            # common = (z + b0/b1)^m, whose z^(m-1) coefficient is m*b0/b1
-            ratio = common.coefficient(m - 1) / m
-            for _ in range(m):
-                top = _divide_linear(top, ratio.numerator, ratio.denominator)
-                bottom = _divide_linear(bottom, ratio.numerator, ratio.denominator)
+        top, bottom, _, _ = _cancel_linear(num, den)
         # (top / num._den) / (bottom / den._den), over one denominator
         scale = lcm(num._den, den._den)
         top = [c * (scale // num._den) for c in top]

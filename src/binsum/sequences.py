@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .combinatorics import (
     Scalar,
+    _refuse_float,
     alternating_binomial_sum,
     binomial,
     factorial,
@@ -40,10 +41,7 @@ def _check_nonnegative(name: str, value: int) -> int:
 def _check_q(q: Scalar) -> Scalar:
     # an int skips the Fraction round trip, which nearly doubles a small c term's cost
     if type(q) is not int:
-        if isinstance(q, float):
-            # Fraction(0.1) is the dyadic 3602879701896397/2**55, not 1/10
-            raise ValueError(f"q must be an int or a Fraction, not the float {q!r}")
-        q = normalize_scalar(Fraction(q))
+        q = normalize_scalar(Fraction(_refuse_float("q", q)))
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     return q
@@ -64,21 +62,9 @@ def as_integer(value: Scalar) -> int:
     return value
 
 
-def _over_one_denominator(values: list) -> tuple[list, int]:
-    """values as int numerators over the lcm of their denominators.
-
-    Integer values come back as they are, over 1.
-    """
-    denominator = math.lcm(*(v.denominator for v in values if type(v) is not int))
-    if denominator == 1:
-        return values, 1
-    return [v.numerator * (denominator // v.denominator) for v in values], denominator
-
-
-def _signed_binomial_row(m: int) -> list:
-    """(-1)^j C(m, j) for j = 0..m."""
-    comb = math.comb
-    return [-comb(m, j) if j & 1 else comb(m, j) for j in range(m + 1)]
+def _per_index(evaluate):
+    """The prefix function (k, q, n) -> [evaluate(k, q, 0..n-1)] of a point route."""
+    return lambda k, q, n: [evaluate(k, q, i) for i in range(n)]
 
 
 def _signed_binomial_rows(n: int):
@@ -93,8 +79,8 @@ def _signed_binomial_rows(n: int):
 def _signed_binomial_sum(row: list, numerators: list, denominator: int) -> Scalar:
     """sum_j (-1)^j C(m, j) numerators[j] over denominator, for row m.
 
-    One pass in int, then one Fraction: the outer sum of both transform
-    routes of a, and the sum over i of the single-sum prefix.
+    One pass in int, then one Fraction: each row of _binomial_transform,
+    and the sum over i of the single-sum prefix.
     """
     total = sum(map(operator.mul, row, numerators))
     if denominator == 1:
@@ -102,38 +88,37 @@ def _signed_binomial_sum(row: list, numerators: list, denominator: int) -> Scala
     return normalize_scalar(Fraction(total, denominator))
 
 
-def _outer_sums(values: list, rows) -> list:
-    """sum_{j=0..m} (-1)^j C(m, j) values[j] for each row m, over one shared denominator."""
-    numerators, denominator = _over_one_denominator(values)
-    return [_signed_binomial_sum(row, numerators, denominator) for row in rows]
+def _binomial_transform(values: list) -> list:
+    """sum_{j=0..m} (-1)^j C(m, j) values[j] for each m < len(values).
 
-
-def _inner_sums(k: int, q: Scalar, n: int) -> list:
-    """The kernel's alternating sums over i for j < n, one call each.
-
-    Each is b(k, q; j), and the double sum's inner sum is (-1)^j times it.
+    The values go over the lcm of their denominators once, so every row is
+    summed in int; integer values skip the scaling.
     """
-    return [alternating_binomial_sum(j, j + k, q, j + k) for j in range(n)]
+    denominator = math.lcm(*(v.denominator for v in values if type(v) is not int))
+    if denominator != 1:
+        values = [v.numerator * (denominator // v.denominator) for v in values]
+    rows = _signed_binomial_rows(len(values))
+    return [_signed_binomial_sum(row, values, denominator) for row in rows]
 
 
 def a_double_sum(k: int, q: Scalar, m: int) -> Scalar:
-    """The defining double sum for a(k, q; m).  Rational q is allowed."""
+    """The defining double sum for a(k, q; m): entry m of a_double_sum_terms."""
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
-    q = _check_q(q)
-    return _outer_sums(_inner_sums(k, q, m + 1), [_signed_binomial_row(m)])[0]
+    return a_double_sum_terms(k, q, m + 1)[m]
 
 
 def a_double_sum_terms(k: int, q: Scalar, n: int) -> list:
-    """a(k, q; 0..n-1) by the defining double sum.
+    """a(k, q; 0..n-1) by the defining double sum.  Rational q is allowed.
 
-    The inner sum over i does not depend on m, so each is evaluated once
-    for the whole prefix and every outer sum reads the same list.
+    The inner sum over i does not depend on m.  It is (-1)^j times
+    b(k, q; j), so the kernel evaluates b once per j for the whole prefix
+    and each outer sum is a row of the binomial transform of that list.
     """
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
     q = _check_q(q)
-    return _outer_sums(_inner_sums(k, q, n), _signed_binomial_rows(n))
+    return _binomial_transform([alternating_binomial_sum(j, j + k, q, j + k) for j in range(n)])
 
 
 def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
@@ -207,9 +192,9 @@ def b_direct(k: int, q: Scalar, j: int) -> Scalar:
 
 
 def a_from_b(k: int, q: Scalar, m: int) -> Scalar:
-    """a as the sign-alternating binomial transform of b: sum_j (-1)^j C(m,j) b(j)."""
+    """a as the sign-alternating binomial transform of b: entry m of a_from_b_terms."""
     _check_nonnegative("m", m)
-    return _outer_sums([b_direct(k, q, j) for j in range(m + 1)], [_signed_binomial_row(m)])[0]
+    return a_from_b_terms(k, q, m + 1)[m]
 
 
 def a_from_b_terms(k: int, q: Scalar, n: int) -> list:
@@ -217,7 +202,7 @@ def a_from_b_terms(k: int, q: Scalar, n: int) -> list:
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
     q = _check_q(q)
-    return _outer_sums([b_direct(k, q, j) for j in range(n)], _signed_binomial_rows(n))
+    return _binomial_transform([b_direct(k, q, j) for j in range(n)])
 
 
 def b_k1_closed(k: int, j: int) -> int:

@@ -40,6 +40,7 @@ from .genfunc import (
 from .polynomials import Polynomial, RationalGF
 from .sequences import (
     _check_nonnegative,
+    _per_index,
     a_double_sum_terms,
     a_from_b_terms,
     a_hypergeom,
@@ -377,10 +378,6 @@ def _check_denominator(k: int, q: int) -> Optional[str]:
     return None
 
 
-def _b_direct_terms(k: int, q: int, n: int) -> list:
-    return [b_direct(k, q, j) for j in range(n)]
-
-
 def _check_fidelity(
     family: str, build, terms, k: int, q: int, horizon: int
 ) -> Optional[str]:
@@ -414,7 +411,7 @@ def _check_roundtrip(rows) -> Optional[str]:
 
 def _tables_cases(bounds: Bounds) -> list[CaseResult]:
     horizon = 41
-    families = (("a", A_gf, a_double_sum_terms), ("b", B_gf, _b_direct_terms))
+    families = (("a", A_gf, a_double_sum_terms), ("b", B_gf, _per_index(b_direct)))
     tables = (
         ("b-table", [(f"k{r.k}-q{_q_tag(r.q)}", r.gf) for r in B_TABLE]),
         ("a-table", [(f"k{r.k}-q{r.q}", r.gf) for r in A_TABLE]),

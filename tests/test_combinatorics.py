@@ -144,6 +144,22 @@ class TestAlternatingBinomialSum:
                 alternating_binomial_sum(*args)
 
 
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: binomial(0.5, 2), "a binomial top", "0.5"),
+        (lambda: binomial(2.0, 2), "a binomial top", "2.0"),
+        (lambda: alternating_binomial_sum(3, 1, 0.5, 2), "step", "0.5"),
+    ],
+)
+def test_float_is_refused(call, name, value):
+    # Fraction(0.5) happens to be exact, but Fraction(0.1) is a dyadic, so
+    # no float is taken; the error is one line, not an AttributeError
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{name} must be an int or a Fraction, not the float {value}"
+
+
 class TestPochhammer:
     def test_examples(self):
         assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)

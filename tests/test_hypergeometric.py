@@ -91,6 +91,23 @@ def test_zero_denominator_beats_zero_numerator():
     assert hyp_terminating([-2, -3], [-2]) == 1
 
 
+@pytest.mark.parametrize(
+    "nums, dens, value",
+    [
+        ([-2, 0.1], [1], "0.1"),
+        ([-2.0, 1], [1], "-2.0"),
+        ([-2, 1], [0.5], "0.5"),
+    ],
+)
+def test_float_parameter_is_refused(nums, dens, value):
+    # with 0.1 as its dyadic value the first case summed to a fraction over 2^111
+    with pytest.raises(ValueError) as info:
+        hyp_terminating(nums, dens)
+    assert str(info.value) == (
+        f"a series parameter must be an int or a Fraction, not the float {value}"
+    )
+
+
 def test_matches_pochhammer_reference_on_random_grid():
     rng = random.Random(20230417)
 

@@ -83,6 +83,24 @@ def test_other_denominators_rejected(denominator, text):
         poly_gcd(Polynomial([1]), Polynomial(denominator))
 
 
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: Polynomial([0.1]), "0.1"),
+        (lambda: Polynomial([1, 2.0]), "2.0"),
+        (lambda: RationalGF([1], [1, 0.5]), "0.5"),
+        (lambda: RationalGF(1, 0.5), "0.5"),
+        (lambda: Polynomial([1]) * 0.5, "0.5"),
+    ],
+)
+def test_float_coefficient_is_refused(call, value):
+    # Polynomial([0.1]) would hold 3602879701896397/2**55, and
+    # RationalGF([1], [1, 0.5]) would render as 2/(2 + z)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"a coefficient must be an int or a Fraction, not the float {value}"
+
+
 def _substitute_cleared_per_term(p, inner_num, inner_den, total_degree):
     """Reference: each c_i * inner_num^i * inner_den^(total_degree-i) built
     by its own powers and summed term by term."""

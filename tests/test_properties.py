@@ -10,7 +10,7 @@ lists of Fractions written below.
 """
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -35,7 +35,6 @@ from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
 from binsum.sequences import (  # noqa: E402
     a_double_sum,
     a_double_sum_terms,
-    a_from_b,
     a_from_b_terms,
     a_single_sum,
     a_single_sum_terms,
@@ -385,21 +384,33 @@ def test_single_sum_is_the_double_sum_at_rational_q(q, k, m):
     assert a_single_sum(k, q, m) == a_double_sum(k, q, m)
 
 
-# The prefix forms evaluate each inner sum, or each b term, once and share
-# it across the prefix; index by index they must be their scalar.
-prefix_routes = st.sampled_from([(a_double_sum_terms, a_double_sum), (a_from_b_terms, a_from_b)])
-
-
+# Both transform routes of a against their defining sums, written out here:
+# the double sum term by term, and the alternating binomial transform of b.
+# Each term is an int exactly where it is integral.
 @SETTINGS
 @given(
-    prefix_routes,
     st.integers(min_value=0, max_value=6),
     st.one_of(family_q, rational_q),
     st.integers(min_value=0, max_value=14),
 )
-def test_prefix_is_the_scalar_at_every_index(routes, k, q, n):
-    terms, scalar = routes
-    assert terms(k, q, n) == [scalar(k, q, m) for m in range(n)]
+def test_prefixes_are_the_literal_sums(k, q, n):
+    double = [
+        sum(
+            (-1) ** (j - i) * comb(m, j) * comb(j, i) * binomial(j + k + q * i, j + k)
+            for j in range(m + 1)
+            for i in range(j + 1)
+        )
+        for m in range(n)
+    ]
+    transform = [
+        sum((-1) ** j * comb(m, j) * b_direct(k, q, j) for j in range(m + 1)) for m in range(n)
+    ]
+    for prefix, literal in ((a_double_sum_terms, double), (a_from_b_terms, transform)):
+        terms = prefix(k, q, n)
+        assert terms == literal
+        assert [type(t) for t in terms] == [
+            int if Fraction(t).denominator == 1 else Fraction for t in literal
+        ]
 
 
 # The single-sum prefix carries each C(k + (q+1)i, k+m) from m to m+1,
