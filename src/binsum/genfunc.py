@@ -29,9 +29,12 @@ from typing import Callable, Sequence
 
 from .combinatorics import (
     Scalar,
+    _refuse_float,
     _row_step,
+    alternating_binomial_sum,
     binomial,
     factorial,
+    normalize_scalar,
     stirling1_signed,
     stirling2,
 )
@@ -47,40 +50,38 @@ from .sequences import (
 )
 
 
+def _one_minus_power(r: Scalar, n: int) -> list[Scalar]:
+    """Coefficients of (1 - r z)^n: C(n, i) (-r)^i for i = 0..n."""
+    return [math.comb(n, i) * (-r) ** i for i in range(n + 1)]
+
+
+def _truncated_product(w: Sequence[Scalar], s: Sequence[Scalar]) -> list[Scalar]:
+    """(w * s) mod z^len(s) for coefficient lists w and s; w may be shorter."""
+    return [sum(x * y for x, y in zip(w, reversed(s[: j + 1]))) for j in range(len(s))]
+
+
 def B_gf(k: int, q: int) -> RationalGF:
     """Generating function of b(k, q; j) for integer k, q >= 0.
 
     Base case 1/(1+qz); each step k-1 -> k adds T_k(z)/(1+qz)^(k+1) where
 
       T_k(z) = sum_{s=0..k} z^s sum_{j=0..s} C(k+1, s-j) q^(s-j)
-               * sum_{i=0..j} (-1)^i C(j,i) C(j+k-1+q*i, q*i-1).
+               * sum_{i=0..j} (-1)^i C(j,i) C(j+k-1+q*i, q*i-1),
 
-    The innermost binomial uses the total definition, so the i=0 term
-    (bottom -1) is zero.  The alternating sum over i depends on (k, j) only,
-    so each step computes it once per j and reuses it for every s.  All the
-    steps share the denominator (1+qz)^(k+1), so the numerator is
-    accumulated over it by Horner in (1+qz), N <- N*(1+qz) + T_step starting
-    from N = 1, and the sum is put in canonical form once.  The canonical
-    denominator always divides (1+qz)^(k+1).
+    ((1+qz)^(k+1) times the inner sums) mod z^(k+1).  Every top is >= 0, so
+    C(j+k-1+q*i, q*i-1) = C(j+k-1+q*i, j+k), both 0 at i = 0 and q = 0, and
+    the inner sum is alternating_binomial_sum(j, j+k-1, q, j+k).  Horner,
+    N <- N*(1+qz) + T_step from N = 1, adds the steps over (1+qz)^(k+1).
     """
     _check_nonnegative("k", k)
     q = _require_integer_q(q, "B_gf")
     base = Polynomial([1, q])
     numerator = Polynomial([1])
     for step in range(1, k + 1):
-        inner = [
-            sum(
-                (-1) ** i * binomial(j, i) * binomial(j + step - 1 + q * i, q * i - 1)
-                for i in range(j + 1)
-            )
-            for j in range(step + 1)
-        ]
-        correction = [
-            sum(binomial(step + 1, s - j) * q ** (s - j) * inner[j] for j in range(s + 1))
-            for s in range(step + 1)
-        ]
+        inner = [alternating_binomial_sum(j, j + step - 1, q, j + step) for j in range(step + 1)]
+        correction = _truncated_product(_one_minus_power(-q, step + 1), inner)
         numerator = numerator * base + Polynomial(correction)
-    return RationalGF(numerator, base ** (k + 1))
+    return RationalGF(numerator, _one_minus_power(-q, k + 1))
 
 
 def binomial_transform_gf(f: RationalGF) -> RationalGF:
@@ -135,8 +136,8 @@ def _omega_sum(weights: Sequence[Scalar]) -> Polynomial:
 
 def _geometric_gf(w: Polynomial, n: int) -> RationalGF:
     """1/(1-x) * w(x/(1-x)) for deg w <= n, as a numerator over (1-x)^(n+1)."""
-    one_minus = Polynomial([1, -1])
-    return RationalGF(substitute_cleared(w, Polynomial([0, 1]), one_minus, n), one_minus ** (n + 1))
+    cleared = substitute_cleared(w, Polynomial([0, 1]), Polynomial([1, -1]), n)
+    return RationalGF(cleared, _one_minus_power(1, n + 1))
 
 
 def power_sum_gf(n: int) -> RationalGF:
@@ -172,7 +173,7 @@ def C2_closed_form(J: int) -> RationalGF:
     """
     _check_nonnegative("J", J)
     numerator = [binomial(J + 1, 2 * l) for l in range((J + 1) // 2 + 1)]
-    return RationalGF(numerator, Polynomial([1, -1]) ** (J + 1))
+    return RationalGF(numerator, _one_minus_power(1, J + 1))
 
 
 def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
@@ -191,7 +192,7 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
     lowest terms, so a C with two distinct roots is the series' own, and
     RationalGF refuses it with NotALinearPowerError.
     """
-    terms = [Fraction(t) for t in series]
+    terms = [Fraction(_refuse_float("a series term", t)) for t in series]
     scale = math.lcm(*[t.denominator for t in terms])
     scaled = [t.numerator * (scale // t.denominator) for t in terms]
     # C is the connection polynomial, of degree <= L; B is C as it was before
@@ -213,8 +214,7 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
         raise NeedsMoreTermsError(
             f"need at least {2 * L + 1} terms to fit a recurrence of order {L}, got {len(terms)}"
         )
-    numerator = [sum(C[i] * scaled[j - i] for i in range(min(j, len(C) - 1) + 1)) for j in range(L)]
-    candidate = RationalGF(numerator, Polynomial(C) * scale)
+    candidate = RationalGF(_truncated_product(C, scaled[:L]), Polynomial(C) * scale)
     if candidate.series(len(terms)) != terms:
         raise NoRationalFitError(f"the order-{L} fit does not reproduce all {len(terms)} terms")
     return candidate
@@ -230,11 +230,11 @@ class CFiniteRecurrence:
     """
 
     order: int
-    coefficients: tuple[Fraction, ...]
-    initial_terms: tuple[Fraction, ...]
+    coefficients: tuple[Scalar, ...]
+    initial_terms: tuple[Scalar, ...]
     offset: int
 
-    def terms(self, n: int) -> list[Fraction]:
+    def terms(self, n: int) -> list[Scalar]:
         """First n sequence values: seed terms, then the recurrence."""
         out = list(self.initial_terms[:n])
         while len(out) < n:
@@ -290,10 +290,8 @@ def paper_gf(family: str, k: int, q: Scalar) -> RationalGF:
     seed, r = paper_seed(family, q)
     order = k + 1
     terms = [seed(k, q, n) for n in range(order)]
-    # (1 - r z)^(k+1), the denominator, whose terms below z^(k+1) weight P
-    weights = [math.comb(order, i) * (-r) ** i for i in range(order + 1)]
-    numerator = [sum(weights[i] * terms[j - i] for i in range(j + 1)) for j in range(order)]
-    return RationalGF(numerator, weights)
+    weights = _one_minus_power(r, order)
+    return RationalGF(_truncated_product(weights, terms), weights)
 
 
 def recurrence_terms(family: str, k: int, q: Scalar, n: int) -> list[Scalar]:
@@ -314,7 +312,7 @@ def recurrence_terms(family: str, k: int, q: Scalar, n: int) -> list[Scalar]:
     initial = [seed(k, q, m) for m in range(min(n, order))]
     if n <= order:
         return initial
-    coefficients = tuple(-math.comb(order, i) * (-r) ** i for i in range(1, order + 1))
+    coefficients = tuple(-w for w in _one_minus_power(r, order)[1:])
     return CFiniteRecurrence(order, coefficients, tuple(initial), 0).terms(n)
 
 
@@ -334,8 +332,8 @@ def recurrence_from_gf(f: RationalGF) -> CFiniteRecurrence:
         # polynomial: finitely many nonzero terms; model as order-1 with zero tail
         offset = f.numerator.degree + 1
         seed = f.series(offset + 1)
-        return CFiniteRecurrence(1, (Fraction(0),), tuple(seed), offset)
-    coefficients = tuple(-f.denominator.coefficient(i) / d0 for i in range(1, order + 1))
+        return CFiniteRecurrence(1, (0,), tuple(seed), offset)
+    coefficients = tuple(normalize_scalar(-c / d0) for c in f.denominator.coefficients[1:])
     offset = max(0, f.numerator.degree + 1 - order)
     seed = f.series(order + offset)
     return CFiniteRecurrence(order, coefficients, tuple(seed), offset)

@@ -393,13 +393,14 @@ class RationalGF:
 
     __rmul__ = __mul__
 
-    def series(self, n: int) -> list[Fraction]:
+    def series(self, n: int) -> list[Scalar]:
         """First n Taylor coefficients at 0 by fraction-free long division.
 
         The canonical numerator N and denominator D have integer
         coefficients, so with d0 = D_0 the scaled terms t_i = s_i * d0^(i+1)
         are integers: t_i = N_i d0^i - sum_{j>=1} D_j d0^(j-1) t_{i-j}.  The
-        loop runs in int and each term is reduced once, as t_i / d0^(i+1).
+        loop runs in int and each term is reduced once, as t_i / d0^(i+1),
+        to an int when d0^(i+1) divides t_i and a Fraction only otherwise.
         """
         if n < 1:
             raise ValueError("series length must be positive")
@@ -411,14 +412,15 @@ class RationalGF:
             )
         weights = [c * d0 ** (j - 1) for j, c in enumerate(den[1:], 1)]
         scaled: list[int] = []
-        out: list[Fraction] = []
+        out: list[Scalar] = []
         power = 1  # d0^i
         for i in range(n):
             t = num[i] * power if i < len(num) else 0
             t -= sum(w * s for w, s in zip(weights, reversed(scaled)))
             scaled.append(t)
             power *= d0
-            out.append(Fraction(t, power))
+            quotient, rest = divmod(t, power)
+            out.append(Fraction(t, power) if rest else quotient)
         return out
 
     def render(self, variable: str = "z") -> str:

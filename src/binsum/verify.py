@@ -306,7 +306,7 @@ def _fit_length(gf: RationalGF) -> int:
 def _check_b_row(row) -> Optional[str]:
     gf = row.gf.expand()
     length = max(len(row.terms), _fit_length(gf))
-    series = [Fraction(b_direct(row.k, row.q, j)) for j in range(length)]
+    series = [b_direct(row.k, row.q, j) for j in range(length)]
     complaint = _first_mismatch(
         "j={0}: evaluator gave {got}, table lists {want}",
         ((series[j], want, j) for j, want in enumerate(row.terms)),
@@ -349,7 +349,7 @@ def _check_c_row(row) -> Optional[str]:
     seeded = paper_gf("c", row.J, row.q)
     if seeded != want_gf:
         return f"built from J+1 seed terms {seeded.render('x')}, table lists {want_gf.render('x')}"
-    if got_gf.series(len(row.terms)) != [Fraction(t) for t in row.terms]:
+    if got_gf.series(len(row.terms)) != list(row.terms):
         return "expansion of the constructed function diverges from the terms"
     return None
 
@@ -384,7 +384,7 @@ def _check_fidelity(
     """terms(k, q, n) is the family's defining prefix of length n."""
     gf = build(k, q)
     rec = recurrence_from_gf(gf)
-    direct = [Fraction(value) for value in terms(k, q, horizon)]
+    direct = terms(k, q, horizon)
     if gf.series(horizon) != direct:
         return "series of the rational function diverges from the evaluator"
     # gf and recur's route reads only k+1 terms, so matching the construction,

@@ -20,6 +20,7 @@ from binsum.combinatorics import (
     stirling1_signed,
     stirling2,
 )
+from binsum.genfunc import reconstruct_rational
 
 
 def count_set_partitions(n, k):
@@ -150,11 +151,14 @@ class TestAlternatingBinomialSum:
         (lambda: binomial(0.5, 2), "a binomial top", "0.5"),
         (lambda: binomial(2.0, 2), "a binomial top", "2.0"),
         (lambda: alternating_binomial_sum(3, 1, 0.5, 2), "step", "0.5"),
+        (lambda: reconstruct_rational([1, 0.5, 0.25, 0.125, 0.0625]), "a series term", "0.5"),
+        (lambda: reconstruct_rational([0.1 * 3**n for n in range(7)]), "a series term", "0.1"),
     ],
 )
 def test_float_is_refused(call, name, value):
     # Fraction(0.5) happens to be exact, but Fraction(0.1) is a dyadic, so
-    # no float is taken; the error is one line, not an AttributeError
+    # no float is taken; the error is one line, not an AttributeError.  A
+    # series of 0.1 * 3^n would be fitted by its dyadic roundings at order 4
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == f"{name} must be an int or a Fraction, not the float {value}"

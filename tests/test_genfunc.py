@@ -376,6 +376,21 @@ class TestRecurrence:
                 assert all(isinstance(c, exact) for c in rec.coefficients), (k, q)
                 assert all(isinstance(t, exact) for t in rec.initial_terms), (k, q)
 
+    def test_integral_values_are_int(self):
+        # the convention combinatorics documents: an integral value is an int,
+        # so no Fraction is built for it
+        for k in range(6):
+            for q in range(4):
+                rec = recurrence_from_gf(A_gf(k, q))
+                assert all(type(c) is int for c in rec.coefficients), (k, q)
+                assert all(type(t) is int for t in rec.initial_terms), (k, q)
+                assert all(type(t) is int for t in B_gf(k, q).series(12)), (k, q)
+        polynomial = recurrence_from_gf(RationalGF([1, 2]))
+        assert all(type(v) is int for v in polynomial.coefficients + polynomial.initial_terms)
+        halves = RationalGF([1], [2, -1]).series(4)
+        assert halves == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+        assert type(RationalGF([2], [2, -1]).series(1)[0]) is int
+
 
 class TestStirlingChecks:
     def test_partial_transform_examples(self):
