@@ -71,16 +71,18 @@ def B_gf(k: int, q: int) -> RationalGF:
     ((1+qz)^(k+1) times the inner sums) mod z^(k+1).  Every top is >= 0, so
     C(j+k-1+q*i, q*i-1) = C(j+k-1+q*i, j+k), both 0 at i = 0 and q = 0, and
     the inner sum is alternating_binomial_sum(j, j+k-1, q, j+k).  Horner,
-    N <- N*(1+qz) + T_step from N = 1, adds the steps over (1+qz)^(k+1).
+    N <- N*(1+qz) + T_step from N = 1, adds the steps over (1+qz)^(k+1),
+    on coefficient lists: N*(1+qz) and T_step both have step+1 entries.
     """
     _check_nonnegative("k", k)
     q = _require_integer_q(q, "B_gf")
-    base = Polynomial([1, q])
-    numerator = Polynomial([1])
+    numerator = [1]
     for step in range(1, k + 1):
         inner = [alternating_binomial_sum(j, j + step - 1, q, j + step) for j in range(step + 1)]
         correction = _truncated_product(_one_minus_power(-q, step + 1), inner)
-        numerator = numerator * base + Polynomial(correction)
+        numerator = [
+            a + q * b + t for a, b, t in zip(numerator + [0], [0] + numerator, correction)
+        ]
     return RationalGF(numerator, _one_minus_power(-q, k + 1))
 
 
@@ -98,11 +100,7 @@ def binomial_transform_gf(f: RationalGF) -> RationalGF:
     """
     num, den = f.numerator, f.denominator
     lift = max(num.degree + 1, den.degree)
-    inner_num = Polynomial([0, -1])
-    inner_den = Polynomial([1, -1])
-    new_num = substitute_cleared(num, inner_num, inner_den, lift - 1)
-    new_den = substitute_cleared(den, inner_num, inner_den, lift)
-    return RationalGF(new_num, new_den)
+    return RationalGF(substitute_cleared(num, -1, lift - 1), substitute_cleared(den, -1, lift))
 
 
 def A_gf(k: int, q: int) -> RationalGF:
@@ -136,8 +134,7 @@ def _omega_sum(weights: Sequence[Scalar]) -> Polynomial:
 
 def _geometric_gf(w: Polynomial, n: int) -> RationalGF:
     """1/(1-x) * w(x/(1-x)) for deg w <= n, as a numerator over (1-x)^(n+1)."""
-    cleared = substitute_cleared(w, Polynomial([0, 1]), Polynomial([1, -1]), n)
-    return RationalGF(cleared, _one_minus_power(1, n + 1))
+    return RationalGF(substitute_cleared(w, 1, n), _one_minus_power(1, n + 1))
 
 
 def power_sum_gf(n: int) -> RationalGF:
@@ -214,7 +211,7 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
         raise NeedsMoreTermsError(
             f"need at least {2 * L + 1} terms to fit a recurrence of order {L}, got {len(terms)}"
         )
-    candidate = RationalGF(_truncated_product(C, scaled[:L]), Polynomial(C) * scale)
+    candidate = RationalGF(_truncated_product(C, scaled[:L]), [c * scale for c in C])
     if candidate.series(len(terms)) != terms:
         raise NoRationalFitError(f"the order-{L} fit does not reproduce all {len(terms)} terms")
     return candidate

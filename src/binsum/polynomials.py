@@ -295,32 +295,26 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial([Fraction(b0, b1), 1]) ** m
 
 
-def substitute_cleared(
-    p: Polynomial, inner_num: Polynomial, inner_den: Polynomial, total_degree: int
-) -> Polynomial:
-    """inner_den^total_degree * p(inner_num/inner_den), cleared of denominators.
+def substitute_cleared(p: Polynomial, sign: int, total_degree: int) -> Polynomial:
+    """(1 - z)^total_degree * p(sign*z/(1 - z)) for sign = 1 or -1: the
+    binomial transform's map and the geometric substitution.
 
-    total_degree must be at least deg(p); the extra factors of inner_den keep
+    total_degree must be at least deg(p); the extra factors of 1 - z keep
     numerator/denominator substitutions of a rational function consistent.
-
-    Evaluated by homogeneous Horner from the top coefficient down: with
-    d = deg(p), r <- r*inner_num + c_i*inner_den^(d-i), each power of
-    inner_den built from the previous one, and the remaining
-    inner_den^(total_degree-d) applied as one final product.  The c_i are
-    p's integer numerators; p's denominator divides the result once.
+    On p's integer numerators, S_0 = p_0 and S_i = (1 - z)*S_(i-1) +
+    sign^i*p_i*z^i (p_i = 0 past deg p) end at S_total_degree, each step one
+    pass of subtractions as in a Pascal row; p's denominator divides once.
     """
     if total_degree < p.degree:
         raise ValueError("total_degree below the polynomial degree")
     if p.is_zero():
         return p
-    *lower, top = p._nums
-    result = _poly([top])
-    den_power = _poly([1])
-    for c in reversed(lower):
-        den_power = den_power * inner_den
-        result = result * inner_num + c * den_power
-    result = result * inner_den ** (total_degree - p.degree)
-    return _poly(list(result._nums), result._den * p._den)
+    nums = p._nums
+    row = [nums[0]]
+    for i in range(1, total_degree + 1):
+        top = sign**i * nums[i] if i < len(nums) else 0
+        row = [a - b for a, b in zip(row + [top], [0] + row)]
+    return _poly(row, p._den)
 
 
 class RationalGF:

@@ -189,6 +189,13 @@ def _first_mismatch(message: str, rows: Iterable[tuple]) -> Optional[str]:
     return None
 
 
+def _q_tag(q) -> str:
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}-{q.denominator}"
+
+
 # ---------------------------------------------------------------- formulas
 
 
@@ -221,13 +228,15 @@ def _check_b_closed(k: int, j_max: int) -> Optional[str]:
 
 
 def _check_rational_q(q: Fraction, k_top: int, m_top: int) -> Optional[str]:
+    terms = m_top + 1
     return _first_mismatch(
-        "k={0}, m={1}: single sum gave {got}, alternating b gave {want}",
+        "k={0}, m={1}: {2} gave {got}, alternating b gave {want}",
         (
-            (a_single_sum(k, q, m), via_b[m], k, m)
+            (got, via_b[m], k, m, route)
             for k in range(k_top + 1)
-            for via_b in (a_from_b_terms(k, q, m_top + 1),)
-            for m in range(m_top + 1)
+            for via_b, double in [(a_from_b_terms(k, q, terms), a_double_sum_terms(k, q, terms))]
+            for m in range(terms)
+            for route, got in (("single sum", a_single_sum(k, q, m)), ("double sum", double[m]))
         ),
     )
 
@@ -237,7 +246,8 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
     m_range = f"0..{bounds.m_max}"
     j_range = f"0..{bounds.j_max}"
     # gates like the rest: a_single_sum is what gf --family A --reconstruct
-    # reads at rational q
+    # reads at rational q, and a_double_sum_terms is seq --family a's
+    # default route there
     k_top, m_top = min(bounds.k_max, 3), min(bounds.m_max, 10)
     return (
         _cases(
@@ -273,11 +283,13 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
         )
         + _cases(
             _check_rational_q,
+            # the double sum is compared too; this text is pinned with the
+            # report's bytes
             "single-sum and alternating-b expressions agree for rational q",
             PROVENANCE_CROSS,
             [
                 (
-                    f"formulas/rational-q/a-agreement/q{q.numerator}-{q.denominator}",
+                    f"formulas/rational-q/a-agreement/q{_q_tag(q)}",
                     dict(q=q, k_range=f"0..{k_top}", m_range=f"0..{m_top}"),
                     (q, k_top, m_top),
                 )
@@ -288,13 +300,6 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
 
 
 # ------------------------------------------------------------------ tables
-
-
-def _q_tag(q) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}-{q.denominator}"
 
 
 def _fit_length(gf: RationalGF) -> int:

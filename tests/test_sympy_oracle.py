@@ -1,7 +1,8 @@
 """sympy as an independent oracle for the exact kernels: rational-top
-binomials, the alternating binomial sum, the Berlekamp-Massey series fit, the
-polynomial gcd and the canonical form of RationalGF.  The last three run on
-denominators c * (b0 + b1*z)^e, the one shape RationalGF holds.
+binomials, the alternating binomial sum, terminating hypergeometric series,
+the Berlekamp-Massey series fit, the polynomial gcd and the canonical form of
+RationalGF.  The last three run on denominators c * (b0 + b1*z)^e, the one
+shape RationalGF holds.
 
 binsum itself is stdlib-only; these checks run where sympy is installed and
 are skipped elsewhere.
@@ -14,8 +15,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import binsum.sequences as sequences_mod  # noqa: E402
 from binsum.combinatorics import alternating_binomial_sum, binomial  # noqa: E402
 from binsum.genfunc import reconstruct_rational  # noqa: E402
+from binsum.hypergeometric import hyp_terminating  # noqa: E402
 from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
 
 
@@ -42,6 +45,46 @@ def test_alternating_sum_at_rational_steps_matches_sympy():
             )
             value = alternating_binomial_sum(n, offset, step, bottom)
             assert value == Fraction(int(expected.p), int(expected.q)), (n, offset, step, bottom)
+
+
+def _hyper_sympy(numerator_params, denominator_params):
+    a = [_rational(Fraction(c)) for c in numerator_params]
+    b = [_rational(Fraction(c)) for c in denominator_params]
+    expanded = sympy.hyperexpand(sympy.hyper(a, b, 1))
+    return Fraction(int(expanded.p), int(expanded.q))
+
+
+def test_terminating_series_on_a_random_grid_matches_sympy():
+    # a nonpositive integer numerator parameter ends each series, and no
+    # denominator parameter is a nonpositive integer, so no pole is reached
+    rng = random.Random(1992)
+    for _ in range(30):
+        nums = [-rng.randint(0, 5)]
+        nums += [Fraction(rng.randint(-9, 9), rng.randint(2, 4)) for _ in range(rng.randint(0, 2))]
+        dens, count = [], rng.randint(1, 2)
+        while len(dens) < count:
+            b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if b.denominator != 1 or b > 0:
+                dens.append(b)
+        assert hyp_terminating(nums, dens) == _hyper_sympy(nums, dens), (nums, dens)
+
+
+def test_terminating_series_of_both_families_matches_sympy(monkeypatch):
+    # the parameter lists a_hypergeom and b_hypergeom build at small k, q, m
+    calls = []
+    real = sequences_mod.hyp_terminating
+    monkeypatch.setattr(
+        sequences_mod, "hyp_terminating", lambda a, b: calls.append((a, b)) or real(a, b)
+    )
+    for k in range(3):
+        for q in range(3):
+            for m in range(4):
+                sequences_mod.a_hypergeom(k, q, m)
+                if q:
+                    sequences_mod.b_hypergeom(k, q, m)
+    assert len(calls) == 60
+    for nums, dens in calls:
+        assert hyp_terminating(nums, dens) == _hyper_sympy(nums, dens), (nums, dens)
 
 
 def _random_polynomial(rng, max_degree):

@@ -170,6 +170,33 @@ class TestFailureText:
         assert case.status == "fail"
         assert case.actual == "k=1, m=4: single sum gave 89/8, alternating b gave 81/8"
 
+    def test_wrong_double_sum_at_rational_q_fails(self, monkeypatch):
+        # seq --family a runs the double sum at rational q, so a wrong value
+        # there must fail both rational-q cases; the integer-q cases pass
+        import binsum.verify as verify_mod
+
+        real = verify_mod.a_double_sum_terms
+        monkeypatch.setattr(
+            verify_mod,
+            "a_double_sum_terms",
+            lambda k, q, n: [
+                v + (isinstance(q, Fraction) and m == 3) for m, v in enumerate(real(k, q, n))
+            ],
+        )
+        report = run_suite("formulas", Bounds(k_max=2, q_max=2, m_max=6, j_max=0))
+        assert report.status == "fail"
+        cases = cases_by_id(report)
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == [
+            "formulas/rational-q/a-agreement/q1-2",
+            "formulas/rational-q/a-agreement/q3-2",
+        ]
+        for q, case_id in zip((Fraction(1, 2), Fraction(3, 2)), failed):
+            want = a_single_sum(0, q, 3)
+            assert cases[case_id].actual == (
+                f"k=0, m=3: double sum gave {want + 1}, alternating b gave {want}"
+            )
+
     def test_kernel_wrong_only_at_rational_step_fails(self, monkeypatch):
         # a_double_sum_terms and a_single_sum share the alternating-sum kernel,
         # and every integer-q case runs its int branch, so a slip in the
