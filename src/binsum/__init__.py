@@ -66,7 +66,7 @@ from .sequences import (
     power_via_stirling,
     zero_sum_identity,
 )
-from .verify import Bounds, VerificationReport, run_suite
+from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "A_gf",
     "B_gf",
     "BFileParseError",
-    "Bounds",
     "C2_closed_form",
     "C_gf_stirling",
     "CFiniteRecurrence",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .sequences import (
     b_hypergeom,
     c_direct,
 )
-from .verify import SUITE_NAMES, Bounds, compare_pinned, run_suite
+from .verify import SUITE_NAMES, compare_pinned, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,10 +122,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--offline", action="store_true")
     verify.add_argument("--timing", action="store_true")
-    for field in dataclasses.fields(Bounds):  # --k-max, --q-max, --m-max, --j-max
-        verify.add_argument(
-            "--" + field.name.replace("_", "-"), type=_nonnegative, default=field.default
-        )
 
     oeis = sub.add_parser("oeis", help="fetch or compare an OEIS b-file")
     oeis.add_argument("--id", required=True)
@@ -293,10 +288,7 @@ def _cmd_recur(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bounds = Bounds(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Bounds)})
-    report = run_suite(
-        args.suite, bounds, offline=args.offline, timing=args.timing
-    )
+    report = run_suite(args.suite, offline=args.offline, timing=args.timing)
     print(report.to_json())
     return EXIT_PASS if report.status == "pass" else EXIT_FAIL
 

@@ -91,6 +91,7 @@ def pochhammer(a: Scalar, n: int) -> Scalar:
     """Rising factorial a(a+1)...(a+n-1); the empty product is 1."""
     if n < 0:
         raise ValueError(f"pochhammer is undefined for negative n: {n}")
+    _refuse_float("a Pochhammer base", a)
     result: Scalar = 1
     for i in range(n):
         result = result * (a + i)
@@ -125,7 +126,10 @@ def _row(name: str, n: int) -> tuple[int, ...]:
 
 
 def _entry(name: str, n: int, k: int) -> int:
-    """T(n, k) of triangle name; 0 outside 0 <= k <= n, an error for any k at n < 0."""
+    """T(n, k) of triangle name; 0 outside 0 <= k <= n, an error for any k at
+    n < 0 and for an index that is not an int."""
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise ValueError(f"{name} needs int n and k, got {n!r} and {k!r}")
     if n < 0:
         raise ValueError(f"{name} is undefined for negative n: {n}")
     return _row(name, n)[k] if 0 <= k <= n else 0
@@ -147,6 +151,8 @@ def stirling1_signed(n: int, k: int) -> int:
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / (parts[0]! * parts[1]! * ...) with sum(parts) == n required."""
+    if not all(isinstance(x, int) for x in (n, *parts)):
+        raise ValueError(f"multinomial needs int n and parts, got {n!r} and {list(parts)!r}")
     if n < 0 or any(p < 0 for p in parts):
         raise ValueError("multinomial arguments must be nonnegative")
     if sum(parts) != n:

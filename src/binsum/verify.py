@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -39,7 +39,6 @@ from .genfunc import (
 )
 from .polynomials import Polynomial, RationalGF
 from .sequences import (
-    _check_nonnegative,
     _per_index,
     a_double_sum_terms,
     a_from_b_terms,
@@ -57,7 +56,6 @@ from .sequences import (
 from .tables import A_TABLE, B_TABLE, C_TABLE
 
 __all__ = [
-    "Bounds",
     "CaseResult",
     "VerificationReport",
     "SUITE_NAMES",
@@ -76,22 +74,11 @@ PROVENANCE_IDENTITY = "identity"
 PINNED_TERMS = 41
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Parameter ranges for the grid-shaped suites.
-
-    Defaults mirror the widest ranges the acceptance checks exercise;
-    narrower bounds run the same cases over a smaller grid.
-    """
-
-    k_max: int = 5
-    q_max: int = 5
-    m_max: int = 25
-    j_max: int = 20
-
-    def validate(self) -> None:
-        for field in fields(self):
-            _check_nonnegative(field.name, getattr(self, field.name))
+# grid tops that two suites share: k and q of the formulas and tables
+# grids, and j of the b checks and the zero-sum identity
+K_MAX = 5
+Q_MAX = 5
+J_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -241,14 +228,15 @@ def _check_rational_q(q: Fraction, k_top: int, m_top: int) -> Optional[str]:
     )
 
 
-def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
-    ks = range(bounds.k_max + 1)
-    m_range = f"0..{bounds.m_max}"
-    j_range = f"0..{bounds.j_max}"
+def _formulas_cases() -> list[CaseResult]:
+    ks = range(K_MAX + 1)
+    m_max = 25
+    m_range = f"0..{m_max}"
+    j_range = f"0..{J_MAX}"
     # gates like the rest: a_single_sum is what gf --family A --reconstruct
     # reads at rational q, and a_double_sum_terms is seq --family a's
     # default route there
-    k_top, m_top = min(bounds.k_max, 3), min(bounds.m_max, 10)
+    k_top, m_top = 3, 10
     return (
         _cases(
             _check_a_agreement,
@@ -256,9 +244,9 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
             PROVENANCE_CROSS,
             [
                 (f"formulas/a-agreement/k{k}-q{q}", dict(k=k, q=q, m_range=m_range),
-                 (k, q, bounds.m_max))
+                 (k, q, m_max))
                 for k in ks
-                for q in range(bounds.q_max + 1)
+                for q in range(Q_MAX + 1)
             ],
         )
         + _cases(
@@ -267,9 +255,9 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
             PROVENANCE_CROSS,
             [
                 (f"formulas/b-agreement/k{k}-q{q}", dict(k=k, q=q, j_range=j_range),
-                 (k, q, bounds.j_max))
+                 (k, q, J_MAX))
                 for k in ks
-                for q in range(1, bounds.q_max + 1)
+                for q in range(1, Q_MAX + 1)
             ],
         )
         + _cases(
@@ -277,7 +265,7 @@ def _formulas_cases(bounds: Bounds) -> list[CaseResult]:
             "b(k,1;j) equals the signed-binomial closed form",
             PROVENANCE_CROSS,
             [
-                (f"formulas/b-closed-q1/k{k}", dict(k=k, q=1, j_range=j_range), (k, bounds.j_max))
+                (f"formulas/b-closed-q1/k{k}", dict(k=k, q=1, j_range=j_range), (k, J_MAX))
                 for k in ks
             ],
         )
@@ -414,7 +402,7 @@ def _check_roundtrip(rows) -> Optional[str]:
     return None
 
 
-def _tables_cases(bounds: Bounds) -> list[CaseResult]:
+def _tables_cases() -> list[CaseResult]:
     horizon = 41
     families = (("a", A_gf, a_double_sum_terms), ("b", B_gf, _per_index(b_direct)))
     tables = (
@@ -481,8 +469,8 @@ def _tables_cases(bounds: Bounds) -> list[CaseResult]:
                     (tag, build, terms, k, q, horizon),
                 )
                 for tag, build, terms in families
-                for k in range(bounds.k_max + 1)
-                for q in range(bounds.q_max + 1)
+                for k in range(K_MAX + 1)
+                for q in range(Q_MAX + 1)
             ],
         )
         + _cases(
@@ -548,15 +536,14 @@ def _check_involution(k: int, q: int) -> Optional[str]:
     return None
 
 
-def _identities_cases(bounds: Bounds) -> list[CaseResult]:
+def _identities_cases() -> list[CaseResult]:
     return (
         _cases(
             _check_zero_sum,
             "alternating binomial sum vanishes",
             PROVENANCE_IDENTITY,
             [
-                (f"identities/zero-sum/q{q}", dict(q=q, j_range=f"0..{bounds.j_max}"),
-                 (q, bounds.j_max))
+                (f"identities/zero-sum/q{q}", dict(q=q, j_range=f"0..{J_MAX}"), (q, J_MAX))
                 for q in range(1, 7)
             ],
         )
@@ -732,7 +719,6 @@ def _oeis_cases(offline: bool, cache_dir: Optional[str]) -> list[CaseResult]:
 
 def run_suite(
     name: str,
-    bounds: Optional[Bounds] = None,
     *,
     offline: bool = False,
     cache_dir: Optional[str] = None,
@@ -741,13 +727,10 @@ def run_suite(
     """Run one named suite (or "all") and return its report."""
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITE_NAMES}")
-    if bounds is None:
-        bounds = Bounds()
-    bounds.validate()
     suites = {
-        "formulas": lambda: _formulas_cases(bounds),
-        "tables": lambda: _tables_cases(bounds),
-        "identities": lambda: _identities_cases(bounds),
+        "formulas": _formulas_cases,
+        "tables": _tables_cases,
+        "identities": _identities_cases,
         "appendix": _appendix_cases,
         "oeis": lambda: _oeis_cases(offline, cache_dir),
     }

@@ -2,7 +2,7 @@
 
 Each criterion runs the verification suites' check functions
 (``binsum.verify._check_*``) over its own grid, in places wider than the
-suites' defaults; only facts no suite check covers are tested directly.
+suites' grids; only facts no suite check covers are tested directly.
 
 Every test prints a single ``ACCEPTANCE <name>: PASS|FAIL`` line straight to
 the terminal (bypassing capture) before asserting, so the run log shows a
@@ -211,7 +211,7 @@ def test_criterion_09_roundtrip(capsys):
     _verdict(capsys, "gf-roundtrip", [complaint] if complaint else [])
 
 
-# sha256 of the full offline report at default bounds; a change to its bytes
+# sha256 of the full offline report; a change to its bytes
 # must be deliberate
 PINNED_REPORT_SHA256 = "f6076ab4a0b5e1dd32accaee969a87753b9cfbc295c2db4601318dc74e640711"
 

@@ -151,6 +151,7 @@ class TestAlternatingBinomialSum:
         (lambda: binomial(0.5, 2), "a binomial top", "0.5"),
         (lambda: binomial(2.0, 2), "a binomial top", "2.0"),
         (lambda: alternating_binomial_sum(3, 1, 0.5, 2), "step", "0.5"),
+        (lambda: pochhammer(0.5, 2), "a Pochhammer base", "0.5"),
         (lambda: reconstruct_rational([1, 0.5, 0.25, 0.125, 0.0625]), "a series term", "0.5"),
         (lambda: reconstruct_rational([0.1 * 3**n for n in range(7)]), "a series term", "0.1"),
     ],
@@ -229,6 +230,28 @@ def test_negative_n_rejected_at_every_k(triangle, k):
     # the k range test must not answer 0 before n is checked
     with pytest.raises(ValueError, match="undefined for negative n"):
         triangle(-1, k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stirling2(2.5, 1), "stirling2 needs int n and k, got 2.5 and 1"),
+        (lambda: stirling2(3, 1.5), "stirling2 needs int n and k, got 3 and 1.5"),
+        (
+            lambda: stirling1_signed(Fraction(3), 1),
+            "stirling1_signed needs int n and k, got Fraction(3, 1) and 1",
+        ),
+        (
+            lambda: multinomial(3, [1, 2.0]),
+            "multinomial needs int n and parts, got 3 and [1, 2.0]",
+        ),
+    ],
+)
+def test_non_int_index_is_refused(call, message):
+    # a one-line ValueError, not a TypeError from deep in the row cache
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestStirling1Signed:

@@ -6,7 +6,7 @@ import pytest
 
 from binsum.polynomials import Polynomial, RationalGF
 from binsum.sequences import a_single_sum
-from binsum.verify import Bounds, CaseResult, VerificationReport, run_suite
+from binsum.verify import CaseResult, VerificationReport, run_suite
 
 
 def make_case(case_id, status):
@@ -37,14 +37,14 @@ class TestReportShape:
 
 
 class TestRunSuite:
-    def test_formulas_small_grid(self):
-        report = run_suite("formulas", Bounds(k_max=3, q_max=3, m_max=15, j_max=10))
+    def test_formulas(self):
+        report = run_suite("formulas")
         assert report.status == "pass"
         # the two rational-q cases gate like every other case
         assert report.counts == {"pass": len(report.cases), "fail": 0}
 
     def test_identities(self):
-        report = run_suite("identities", Bounds(j_max=12))
+        report = run_suite("identities")
         assert report.status == "pass"
 
     def test_appendix(self):
@@ -62,18 +62,14 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("everything")
 
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            run_suite("formulas", Bounds(k_max=-1))
-
     def test_cases_sorted(self):
         report = run_suite("appendix")
         ids = [case.case_id for case in report.cases]
         assert ids == sorted(ids)
 
     def test_deterministic(self):
-        first = run_suite("identities", Bounds(j_max=6))
-        second = run_suite("identities", Bounds(j_max=6))
+        first = run_suite("identities")
+        second = run_suite("identities")
         assert first.to_dict() == second.to_dict()
         assert first.to_json() == second.to_json()
 
@@ -96,15 +92,15 @@ class TestRunSuite:
 
 class TestCaseReporting:
     def test_rational_q_reports_checked_ranges(self):
-        report = run_suite("formulas", Bounds(k_max=2, q_max=0, m_max=6, j_max=0))
+        report = run_suite("formulas")
         rational = [c for c in report.cases if c.case_id.startswith("formulas/rational-q/")]
         assert [c.case_id for c in rational] == [
             "formulas/rational-q/a-agreement/q1-2",
             "formulas/rational-q/a-agreement/q3-2",
         ]
         for case in rational:
-            assert dict(case.inputs)["k_range"] == "0..2"
-            assert dict(case.inputs)["m_range"] == "0..6"
+            assert dict(case.inputs)["k_range"] == "0..3"
+            assert dict(case.inputs)["m_range"] == "0..10"
 
 
 def cases_by_id(report):
@@ -124,7 +120,7 @@ class TestFailureText:
             "a_from_b_terms",
             lambda k, q, n: [v + (m == 2) for m, v in enumerate(a_real(k, q, n))],
         )
-        report = run_suite("formulas", Bounds(k_max=1, q_max=2, m_max=3, j_max=4))
+        report = run_suite("formulas")
         cases = cases_by_id(report)
         b_case = cases["formulas/b-agreement/k1-q2"]
         assert b_case.status == "fail"
@@ -142,11 +138,11 @@ class TestFailureText:
         monkeypatch.setattr(
             sequences_mod, "b_direct", lambda k, q, j: real(k, q, j) + (j == 20 and q == 3)
         )
-        report = run_suite("formulas", Bounds(k_max=2, q_max=3, m_max=20, j_max=0))
+        report = run_suite("formulas")
         cases = cases_by_id(report)
         failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
-        assert failed == [f"formulas/a-agreement/k{k}-q3" for k in range(3)]
-        for k in range(3):
+        assert failed == [f"formulas/a-agreement/k{k}-q3" for k in range(6)]
+        for k in range(6):
             want = a_single_sum(k, 3, 20)
             assert cases[f"formulas/a-agreement/k{k}-q3"].actual == (
                 f"m=20: alternating-b gave {want + 1}, double sum gave {want}"
@@ -163,7 +159,7 @@ class TestFailureText:
             "a_single_sum",
             lambda k, q, m: real(k, q, m) + (q == Fraction(1, 2) and (k, m) == (1, 4)),
         )
-        report = run_suite("formulas", Bounds(k_max=2, q_max=0, m_max=6, j_max=0))
+        report = run_suite("formulas")
         assert report.status == "fail"
         assert report.counts["fail"] == 1
         case = cases_by_id(report)["formulas/rational-q/a-agreement/q1-2"]
@@ -183,7 +179,7 @@ class TestFailureText:
                 v + (isinstance(q, Fraction) and m == 3) for m, v in enumerate(real(k, q, n))
             ],
         )
-        report = run_suite("formulas", Bounds(k_max=2, q_max=2, m_max=6, j_max=0))
+        report = run_suite("formulas")
         assert report.status == "fail"
         cases = cases_by_id(report)
         failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
@@ -210,7 +206,7 @@ class TestFailureText:
             lambda n, offset, step, bottom: real(n, offset, step, bottom)
             + (n == 7 and type(step) is not int),
         )
-        report = run_suite("formulas", Bounds(k_max=3, q_max=0, m_max=10, j_max=0))
+        report = run_suite("formulas")
         assert report.status == "fail"
         cases = cases_by_id(report)
         failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
@@ -234,7 +230,7 @@ class TestFailureText:
             return terms
 
         monkeypatch.setattr(verify_mod, "recurrence_terms", bumped)
-        report = run_suite("tables", Bounds(k_max=2, q_max=3))
+        report = run_suite("tables")
         failed = [case for case in report.cases if case.status == "fail"]
         assert [case.case_id for case in failed] == ["tables/recurrence-fidelity/b-k2-q3"]
         assert failed[0].actual == "unrolled annihilator (order 3) diverges from the evaluator"
@@ -253,7 +249,7 @@ class TestFailureText:
             return gf
 
         monkeypatch.setattr(verify_mod, "paper_gf", bumped)
-        report = run_suite("tables", Bounds(k_max=2, q_max=3))
+        report = run_suite("tables")
         failed = {case.case_id: case for case in report.cases if case.status == "fail"}
         assert sorted(failed) == ["tables/b-row/k2-q3", "tables/recurrence-fidelity/b-k2-q3"]
         seeded = "(1 - 10*z - 3*z^2 + z^7 + 9*z^8 + 27*z^9 + 27*z^10)/(1 + 3*z)^3"
@@ -278,7 +274,7 @@ class TestFailureText:
             return gf
 
         monkeypatch.setattr(verify_mod, "paper_gf", bumped)
-        report = run_suite("tables", Bounds(k_max=0, q_max=0))
+        report = run_suite("tables")
         failed = [case for case in report.cases if case.status == "fail"]
         assert [case.case_id for case in failed] == ["tables/a-row/k5-q6"]
         table = "1 + 882*z + 10731*z^2 - 40474*z^3 + 36015*z^4"
@@ -322,7 +318,7 @@ class TestFailureText:
         monkeypatch.setattr(
             verify_mod, "reconstruct_rational", lambda series: RationalGF([1], [1, -1])
         )
-        report = run_suite("tables", Bounds(k_max=0, q_max=0))
+        report = run_suite("tables")
         cases = cases_by_id(report)
         row = cases["tables/b-row/k1-q2"]
         assert row.status == "fail"
@@ -332,62 +328,59 @@ class TestFailureText:
         assert roundtrip.actual == "k0-q0: refit 1/(1 - z) != 1"
 
     @pytest.mark.parametrize(
-        "name, point, bump, suite, bounds, case_id, complaint",
+        "name, point, bump, suite, case_id, complaint",
         [
             pytest.param(
                 "a_double_sum_terms", (1, 2, 41), lambda v: v[:5] + [v[5] + 1] + v[6:],
-                "tables", Bounds(k_max=1, q_max=2), "tables/recurrence-fidelity/a-k1-q2",
+                "tables", "tables/recurrence-fidelity/a-k1-q2",
                 "series of the rational function diverges from the evaluator",
                 id="a_double_sum_terms",
             ),
             pytest.param(
                 "B_gf", (2, 3),
                 lambda f: RationalGF(f.numerator, f.denominator * Polynomial([1, 3])),
-                "tables", Bounds(k_max=0, q_max=0), "tables/denominator/k2-q3",
+                "tables", "tables/denominator/k2-q3",
                 "denominator 1 + 12*z + 54*z^2 + 108*z^3 + 81*z^4 "
                 "does not divide 1 + 9*z + 27*z^2 + 27*z^3",
                 id="B_gf",
             ),
             pytest.param(
-                "C_gf_stirling", (2, 3), lambda f: f + 1, "tables", Bounds(k_max=0, q_max=0),
-                "tables/c-row/J2-q3",
+                "C_gf_stirling", (2, 3), lambda f: f + 1, "tables", "tables/c-row/J2-q3",
                 "constructed (2 + 4*x + 4*x^2 - x^3)/(1 - x)^3, "
                 "table lists (1 + 7*x + x^2)/(1 - x)^3",
                 id="C_gf_stirling",
             ),
             pytest.param(
-                "C2_closed_form", (5,), lambda f: f + 1, "tables", Bounds(k_max=0, q_max=0),
-                "tables/c2-closed/J5",
+                "C2_closed_form", (5,), lambda f: f + 1, "tables", "tables/c2-closed/J5",
                 "closed form (2 + 9*x + 30*x^2 - 19*x^3 + 15*x^4 - 6*x^5 + x^6)/(1 - x)^6, "
                 "construction (1 + 15*x + 15*x^2 + x^3)/(1 - x)^6",
                 id="C2_closed_form",
             ),
             pytest.param(
-                "zero_sum_identity", (7, 3), lambda v: v + 1, "identities", Bounds(),
+                "zero_sum_identity", (7, 3), lambda v: v + 1, "identities",
                 "identities/zero-sum/q3", "j=7: sum evaluates to 1",
                 id="zero_sum_identity",
             ),
             pytest.param(
-                "power_via_stirling", (5, 4), lambda v: v + 1, "identities", Bounds(),
+                "power_via_stirling", (5, 4), lambda v: v + 1, "identities",
                 "identities/power-stirling/n04", "base=5: rebuilt 626, expected 625",
                 id="power_via_stirling",
             ),
             pytest.param(
-                "b_k1_closed", (2, 3), lambda v: v + 1, "formulas",
-                Bounds(k_max=2, q_max=0, m_max=0, j_max=4), "formulas/b-closed-q1/k2",
+                "b_k1_closed", (2, 3), lambda v: v + 1, "formulas", "formulas/b-closed-q1/k2",
                 "j=3: closed form gave -9, direct sum gave -10",
                 id="b_k1_closed",
             ),
             pytest.param(
                 "stirling_omega_identity_check", (5,), lambda pair: (pair[0], pair[1] + 1),
-                "identities", Bounds(), "identities/omega-inversion/n05",
+                "identities", "identities/omega-inversion/n05",
                 "reconstruction gave 1 + x^5",
                 id="stirling_omega_identity_check",
             ),
         ],
     )
     def test_check_catches_one_wrong_point(
-        self, monkeypatch, name, point, bump, suite, bounds, case_id, complaint
+        self, monkeypatch, name, point, bump, suite, case_id, complaint
     ):
         # the acceptance gate runs these checks too, so each must complain
         import binsum.verify as verify_mod
@@ -396,6 +389,6 @@ class TestFailureText:
         monkeypatch.setattr(
             verify_mod, name, lambda *args: bump(real(*args)) if args == point else real(*args)
         )
-        case = cases_by_id(run_suite(suite, bounds))[case_id]
+        case = cases_by_id(run_suite(suite))[case_id]
         assert case.status == "fail"
         assert case.actual == complaint
