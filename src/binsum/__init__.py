@@ -59,6 +59,7 @@ from .sequences import (
     a_single_sum,
     a_single_sum_terms,
     b_direct,
+    b_direct_terms,
     b_hypergeom,
     b_k1_closed,
     beta_integral,
@@ -97,6 +98,7 @@ __all__ = [
     "a_single_sum",
     "a_single_sum_terms",
     "b_direct",
+    "b_direct_terms",
     "b_hypergeom",
     "b_k1_closed",
     "beta_integral",

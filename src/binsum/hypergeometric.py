@@ -25,13 +25,23 @@ from .combinatorics import Scalar, _refuse_float, normalize_scalar
 from .errors import NonTerminatingSeriesError
 
 
+def _parameter(a: Scalar) -> Scalar:
+    """a, if it is an int or a Fraction: both carry .numerator and .denominator."""
+    if not isinstance(a, (int, Fraction)):
+        _refuse_float("a series parameter", a)
+        raise ValueError(
+            f"a series parameter must be an int or a Fraction, not a {type(a).__name__}"
+        )
+    return a
+
+
 def termination_order(numerator_params: Sequence[Scalar]) -> int:
     """Largest -a over nonpositive-integer numerator parameters a."""
     orders = []
     for a in numerator_params:
-        a = normalize_scalar(Fraction(a))
-        if isinstance(a, int) and a <= 0:
-            orders.append(-a)
+        a = _parameter(a)
+        if a.denominator == 1 and a.numerator <= 0:
+            orders.append(-a.numerator)
     if not orders:
         raise NonTerminatingSeriesError(
             f"no nonpositive integer among numerator parameters {list(numerator_params)}"
@@ -44,6 +54,9 @@ def hyp_terminating(
 ) -> Scalar:
     """Sum the terminating series at unit argument.
 
+    Each parameter is an int or a Fraction and is read through its
+    numerator and denominator, so none is rebuilt.
+
     A term whose denominator Pochhammer product vanishes contributes zero
     (the 1/infinity convention for a pole sitting under a finite numerator),
     also when its numerator vanishes too.
@@ -52,8 +65,9 @@ def hyp_terminating(
     i >= 1 - b, so the first such index ends the sum; a vanishing numerator
     factor makes every later term zero.
     """
-    nums = [Fraction(_refuse_float("a series parameter", a)) for a in numerator_params]
-    dens = [Fraction(_refuse_float("a series parameter", b)) for b in denominator_params]
+    dens = [_parameter(b) for b in denominator_params]
+    nums = list(numerator_params)
+    # termination_order refuses a numerator parameter as _parameter does
     order = termination_order(nums)
     pole = order + 1
     for b in dens:

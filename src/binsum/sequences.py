@@ -191,6 +191,45 @@ def b_direct(k: int, q: Scalar, j: int) -> Scalar:
     return normalize_scalar(total)
 
 
+def b_direct_terms(k: int, q: Scalar, n: int) -> list:
+    """b(k, q; 0..n-1) by the defining sum, each binomial carried from j to j+1.
+
+    From index j-1 to j every top j-1+k+qi and the bottom j-1+k rise by one,
+    so column i steps by C(t+1, b+1) = C(t, b) (t+1) / (b+1) (Petkovsek,
+    Wilf & Zeilberger, A = B, ch. 3) and column j is new.  At integer q the
+    division is exact and each column is the binomial itself.  At q = p/d
+    the column is the integer falling product of N = (k+j)d + pi in steps of
+    d, which gains the factor N, and the whole row shares the denominator
+    d^(k+j) (k+j)!, as in alternating_binomial_sum.  Each term is still the
+    literal signed sum over the row, as in a_single_sum_terms.
+    """
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _check_q(q)
+    columns: list = []
+    terms = []
+    rows = enumerate(_signed_binomial_rows(n))
+    if type(q) is int:
+        for j, row in rows:
+            bottom = k + j
+            # t + 1 = k + j + qi over b + 1 = k + j
+            columns = [c * (bottom + q * i) // bottom for i, c in enumerate(columns)]
+            columns.append(math.comb(bottom + q * j, bottom))
+            terms.append(_signed_binomial_sum(row, columns, 1))
+        return terms
+    p, d = q.numerator, q.denominator
+    denominator = d**k * math.factorial(k)
+    for j, row in rows:
+        bottom = k + j
+        if j:
+            denominator *= d * bottom
+            columns = [c * (bottom * d + p * i) for i, c in enumerate(columns)]
+        top = bottom * d + p * j
+        columns.append(math.prod(range(top, top - bottom * d, -d)))
+        terms.append(_signed_binomial_sum(row, columns, denominator))
+    return terms
+
+
 def a_from_b(k: int, q: Scalar, m: int) -> Scalar:
     """a as the sign-alternating binomial transform of b: entry m of a_from_b_terms."""
     _check_nonnegative("m", m)
@@ -232,9 +271,10 @@ def a_hypergeom(k: int, q: int, m: int) -> Scalar:
     _check_nonnegative("m", m)
     q = _require_integer_q(q, "the terminating-series route")
     front = binomial(m * (q + 1) + k, k + m)
-    numerator_params = [Fraction(-m)]
-    numerator_params += [1 - Fraction(l + 1 - m, q + 1) - m for l in range(q + 1)]
-    denominator_params = [1 - Fraction(k + 1 + l, q + 1) - m for l in range(q + 1)]
+    # 1 - x/(q+1) - m is the one Fraction ((1-m)(q+1) - x)/(q+1)
+    base = (1 - m) * (q + 1)
+    numerator_params = [-m] + [Fraction(base - (l + 1 - m), q + 1) for l in range(q + 1)]
+    denominator_params = [Fraction(base - (k + 1 + l), q + 1) for l in range(q + 1)]
     return normalize_scalar(front * hyp_terminating(numerator_params, denominator_params))
 
 
@@ -251,7 +291,7 @@ def b_hypergeom(k: int, q: int, j: int) -> Scalar:
         raise UnsupportedParameterError(
             "the terminating-series route for family b requires q >= 1"
         )
-    numerator_params = [Fraction(-j)] + [Fraction(k + j + l, q) for l in range(1, q + 1)]
+    numerator_params = [-j] + [Fraction(k + j + l, q) for l in range(1, q + 1)]
     denominator_params = [Fraction(l, q) for l in range(1, q + 1)]
     return normalize_scalar(hyp_terminating(numerator_params, denominator_params))
 

@@ -39,13 +39,12 @@ from .genfunc import (
 )
 from .polynomials import Polynomial, RationalGF
 from .sequences import (
-    _per_index,
     a_double_sum_terms,
     a_from_b_terms,
     a_hypergeom,
     a_single_sum,
     as_integer,
-    b_direct,
+    b_direct_terms,
     b_hypergeom,
     b_k1_closed,
     beta_integral,
@@ -167,8 +166,9 @@ def _first_mismatch(message: str, rows: Iterable[tuple]) -> Optional[str]:
     The message is formatted with the row's where-values as positional
     fields and got and want as named ones.  Rows are read lazily, so no
     row past the first mismatch is evaluated.  The a-agreement and
-    rational-q checks read prefixes of a, and each prefix is built whole
-    before the first comparison that reads it.
+    rational-q checks read prefixes of a, and the b checks the prefix of
+    b's defining sum; each prefix is built whole before the first
+    comparison that reads it.
     """
     for got, want, *where in rows:
         if got != want:
@@ -201,16 +201,18 @@ def _check_a_agreement(k: int, q: int, m_max: int) -> Optional[str]:
 
 
 def _check_b_agreement(k: int, q: int, j_max: int) -> Optional[str]:
+    direct = b_direct_terms(k, q, j_max + 1)
     return _first_mismatch(
         "j={0}: terminating series gave {got}, direct sum gave {want}",
-        ((b_hypergeom(k, q, j), b_direct(k, q, j), j) for j in range(j_max + 1)),
+        ((b_hypergeom(k, q, j), direct[j], j) for j in range(j_max + 1)),
     )
 
 
 def _check_b_closed(k: int, j_max: int) -> Optional[str]:
+    direct = b_direct_terms(k, 1, j_max + 1)
     return _first_mismatch(
         "j={0}: closed form gave {got}, direct sum gave {want}",
-        ((b_k1_closed(k, j), b_direct(k, 1, j), j) for j in range(j_max + 1)),
+        ((b_k1_closed(k, j), direct[j], j) for j in range(j_max + 1)),
     )
 
 
@@ -299,7 +301,7 @@ def _fit_length(gf: RationalGF) -> int:
 def _check_b_row(row) -> Optional[str]:
     gf = row.gf.expand()
     length = max(len(row.terms), _fit_length(gf))
-    series = [b_direct(row.k, row.q, j) for j in range(length)]
+    series = b_direct_terms(row.k, row.q, length)
     complaint = _first_mismatch(
         "j={0}: evaluator gave {got}, table lists {want}",
         ((series[j], want, j) for j, want in enumerate(row.terms)),
@@ -404,7 +406,7 @@ def _check_roundtrip(rows) -> Optional[str]:
 
 def _tables_cases() -> list[CaseResult]:
     horizon = 41
-    families = (("a", A_gf, a_double_sum_terms), ("b", B_gf, _per_index(b_direct)))
+    families = (("a", A_gf, a_double_sum_terms), ("b", B_gf, b_direct_terms))
     tables = (
         ("b-table", [(f"k{r.k}-q{_q_tag(r.q)}", r.gf) for r in B_TABLE]),
         ("a-table", [(f"k{r.k}-q{r.q}", r.gf) for r in A_TABLE]),

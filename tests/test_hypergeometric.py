@@ -108,6 +108,45 @@ def test_float_parameter_is_refused(nums, dens, value):
     )
 
 
+@pytest.mark.parametrize(
+    "param, complaint",
+    [
+        (-2.0, "not the float -2.0"),
+        (0.5, "not the float 0.5"),
+        ("-3", "not a str"),
+        (None, "not a NoneType"),
+        ([-3], "not a list"),
+    ],
+)
+def test_non_rational_parameter_is_refused(param, complaint):
+    # termination_order once read -2.0 as the order 2 and "-3" as 3; no
+    # call may end in an AttributeError either
+    calls = (
+        lambda: termination_order([param, Fraction(1, 2)]),
+        lambda: hyp_terminating([-2, param], []),
+        lambda: hyp_terminating([-2], [param]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"a series parameter must be an int or a Fraction, {complaint}"
+
+
+def test_int_and_integral_fraction_parameters_agree():
+    # parameters are read through .numerator and .denominator, never rebuilt
+    assert termination_order([-3]) == termination_order([Fraction(-3)]) == 3
+    for nums, dens in (
+        ([-3, Fraction(1, 2)], [Fraction(7, 2)]),
+        ([-3, 2], [5]),
+        ([-3, 1], [-1]),
+        ([-4, Fraction(5, 3)], [Fraction(-7, 3), 2]),
+    ):
+        want = hyp_terminating(nums, dens)
+        as_fractions = hyp_terminating([Fraction(a) for a in nums], [Fraction(b) for b in dens])
+        assert as_fractions == want
+        assert type(as_fractions) is type(want)
+
+
 def test_matches_pochhammer_reference_on_random_grid():
     rng = random.Random(20230417)
 

@@ -39,6 +39,7 @@ from binsum.sequences import (  # noqa: E402
     a_single_sum,
     a_single_sum_terms,
     b_direct,
+    b_direct_terms,
     c_direct,
 )
 
@@ -429,6 +430,26 @@ def test_prefixes_are_the_literal_sums(k, q, n):
 def test_single_sum_prefix_is_the_scalar(k, q, n):
     terms = a_single_sum_terms(k, q, n)
     scalar = [a_single_sum(k, q, m) for m in range(n)]
+    assert terms == scalar
+    assert [type(t) for t in terms] == [type(t) for t in scalar]
+
+
+# b's defining sum by prefix carries each C(j+k+qi, j+k) from j to j+1,
+# exactly at integer q and over one shared denominator at q = p/d.
+@SETTINGS
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.one_of(
+        st.integers(min_value=0, max_value=6),
+        st.builds(
+            Fraction, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=4)
+        ),
+    ),
+    st.integers(min_value=0, max_value=30),
+)
+def test_b_prefix_is_the_scalar(k, q, n):
+    terms = b_direct_terms(k, q, n)
+    scalar = [b_direct(k, q, j) for j in range(n)]
     assert terms == scalar
     assert [type(t) for t in terms] == [type(t) for t in scalar]
 

@@ -18,6 +18,7 @@ from binsum.sequences import (
     a_single_sum_terms,
     as_integer,
     b_direct,
+    b_direct_terms,
     b_hypergeom,
     b_k1_closed,
     beta_integral,
@@ -102,11 +103,21 @@ def test_swapped_iteration_order():
                 assert swapped(k, q, m) == a_double_sum(k, q, m)
 
 
+# verify compares the series routes at k, q <= 5 with m <= 25 and j <= 20;
+# their parameters are ints and one Fraction each, so the two tests below
+# check them against the defining sums further out
 def test_b_routes_agree():
-    for q in range(1, 7):
-        for k in range(6):
-            for j in range(26):
-                assert b_hypergeom(k, q, j) == b_direct(k, q, j)
+    for q in range(1, 8):
+        for k in range(8):
+            for j in range(31):
+                assert b_hypergeom(k, q, j) == b_direct(k, q, j), (k, q, j)
+
+
+def test_a_series_route_agrees_past_the_verify_grid():
+    for k in range(8):
+        for q in range(8):
+            for m in range(31):
+                assert a_hypergeom(k, q, m) == a_single_sum(k, q, m), (k, q, m)
 
 
 def test_b_k0_is_alternating_geometric():
@@ -229,13 +240,14 @@ class TestDomainErrors:
             (a_double_sum_terms, a_double_sum),
             (a_from_b_terms, a_from_b),
             (a_single_sum_terms, a_single_sum),
+            (b_direct_terms, b_direct),
         ],
     )
     def test_prefix_takes_the_scalar_errors(self, terms, scalar):
         assert terms(3, 2, 0) == []
         with pytest.raises(ValueError, match="^n must be a nonnegative integer, got -1$"):
             terms(1, 2, -1)
-        for k, q in ((-1, 2), (1, 0.5)):
+        for k, q in ((-1, 2), (1, Fraction(-1, 2)), (1, 0.5)):
             with pytest.raises(ValueError) as want:
                 scalar(k, q, 3)
             # refused before the first term, so the empty prefix is too

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from binsum.polynomials import Polynomial, RationalGF
-from binsum.sequences import a_single_sum
+from binsum.sequences import a_single_sum, b_direct
+from binsum.tables import B_TABLE
 from binsum.verify import CaseResult, VerificationReport, run_suite
 
 
@@ -146,6 +147,49 @@ class TestFailureText:
             want = a_single_sum(k, 3, 20)
             assert cases[f"formulas/a-agreement/k{k}-q3"].actual == (
                 f"m=20: alternating-b gave {want + 1}, double sum gave {want}"
+            )
+
+    def test_wrong_b_prefix_fails_every_b_check(self, monkeypatch):
+        # b-agreement, b-closed-q1, the b table rows and b recurrence fidelity
+        # read b's defining sum through its prefix, so one wrong term fails
+        # every one of them, each with its own complaint, and nothing else
+        import binsum.verify as verify_mod
+
+        real = verify_mod.b_direct_terms
+        monkeypatch.setattr(
+            verify_mod,
+            "b_direct_terms",
+            lambda k, q, n: [v + (j == 3) for j, v in enumerate(real(k, q, n))],
+        )
+        cases = {**cases_by_id(run_suite("formulas")), **cases_by_id(run_suite("tables"))}
+        failed = {case_id: case.actual for case_id, case in cases.items() if case.status == "fail"}
+        groups = (
+            "formulas/b-agreement/",
+            "formulas/b-closed-q1/",
+            "tables/b-row/",
+            "tables/recurrence-fidelity/b-",
+        )
+        assert sorted(failed) == sorted(case_id for case_id in cases if case_id.startswith(groups))
+        assert len(failed) == 30 + 6 + len(B_TABLE) + 36
+        for k in range(6):
+            for q in range(1, 6):
+                want = b_direct(k, q, 3)
+                assert failed[f"formulas/b-agreement/k{k}-q{q}"] == (
+                    f"j=3: terminating series gave {want}, direct sum gave {want + 1}"
+                )
+            want = b_direct(k, 1, 3)
+            assert failed[f"formulas/b-closed-q1/k{k}"] == (
+                f"j=3: closed form gave {want}, direct sum gave {want + 1}"
+            )
+            for q in range(6):
+                assert failed[f"tables/recurrence-fidelity/b-k{k}-q{q}"] == (
+                    "series of the rational function diverges from the evaluator"
+                )
+        for row in B_TABLE:
+            q_tag = str(row.q).replace("/", "-")
+            want = row.terms[3]
+            assert failed[f"tables/b-row/k{row.k}-q{q_tag}"] == (
+                f"j=3: evaluator gave {want + 1}, table lists {want}"
             )
 
     def test_wrong_single_sum_at_rational_q_fails(self, monkeypatch):
