@@ -24,10 +24,16 @@ def normalize_scalar(x: Scalar) -> Scalar:
 
 
 def _refuse_float(name: str, value):
-    """value, unless it is a float: Fraction(0.1) is 3602879701896397/2**55, not 1/10."""
+    """value, if it is an int or a Fraction; anything else is a one-line ValueError.
+
+    A float is named with its value: Fraction(0.1) is 3602879701896397/2**55,
+    not 1/10.  A str or a Decimal is refused too, not parsed.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value
     if isinstance(value, float):
         raise ValueError(f"{name} must be an int or a Fraction, not the float {value!r}")
-    return value
+    raise ValueError(f"{name} must be an int or a Fraction, not a {type(value).__name__}")
 
 
 def binomial(top: Scalar, bottom: int) -> Scalar:

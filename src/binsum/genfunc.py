@@ -232,14 +232,20 @@ class CFiniteRecurrence:
     offset: int
 
     def terms(self, n: int) -> list[Scalar]:
-        """First n sequence values: seed terms, then the recurrence."""
+        """First n sequence values: seed terms, then the recurrence.
+
+        Integral values come back as int.  An all-int recurrence makes only
+        ints, so only one with a Fraction coefficient or seed is normalized.
+        """
         out = list(self.initial_terms[:n])
         while len(out) < n:
             position = len(out)
             out.append(
                 sum(c * out[position - i] for i, c in enumerate(self.coefficients, start=1))
             )
-        return out
+        if all(type(x) is int for x in (*self.coefficients, *self.initial_terms)):
+            return out
+        return [normalize_scalar(x) for x in out]
 
     def render(self, symbol: str = "a") -> str:
         summed = render_terms(

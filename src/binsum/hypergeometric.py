@@ -25,21 +25,11 @@ from .combinatorics import Scalar, _refuse_float, normalize_scalar
 from .errors import NonTerminatingSeriesError
 
 
-def _parameter(a: Scalar) -> Scalar:
-    """a, if it is an int or a Fraction: both carry .numerator and .denominator."""
-    if not isinstance(a, (int, Fraction)):
-        _refuse_float("a series parameter", a)
-        raise ValueError(
-            f"a series parameter must be an int or a Fraction, not a {type(a).__name__}"
-        )
-    return a
-
-
 def termination_order(numerator_params: Sequence[Scalar]) -> int:
     """Largest -a over nonpositive-integer numerator parameters a."""
     orders = []
     for a in numerator_params:
-        a = _parameter(a)
+        a = _refuse_float("a series parameter", a)
         if a.denominator == 1 and a.numerator <= 0:
             orders.append(-a.numerator)
     if not orders:
@@ -65,9 +55,9 @@ def hyp_terminating(
     i >= 1 - b, so the first such index ends the sum; a vanishing numerator
     factor makes every later term zero.
     """
-    dens = [_parameter(b) for b in denominator_params]
+    dens = [_refuse_float("a series parameter", b) for b in denominator_params]
     nums = list(numerator_params)
-    # termination_order refuses a numerator parameter as _parameter does
+    # termination_order refuses a bad numerator parameter
     order = termination_order(nums)
     pole = order + 1
     for b in dens:

@@ -70,10 +70,7 @@ class Polynomial:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[Scalar] = ()) -> None:
-        values = [
-            c if isinstance(c, (int, Fraction)) else Fraction(_refuse_float("a coefficient", c))
-            for c in coefficients
-        ]
+        values = [_refuse_float("a coefficient", c) for c in coefficients]
         den = lcm(*[c.denominator for c in values])
         self._nums, self._den = _canonical(
             [c.numerator * (den // c.denominator) for c in values], den
@@ -85,7 +82,8 @@ class Polynomial:
             return value
         if isinstance(value, (int, Fraction)):
             return _poly([value.numerator], value.denominator)
-        return cls(_refuse_float("a coefficient", value))
+        # a lone scalar of another type is refused as a coefficient
+        return cls(value if isinstance(value, Iterable) else [value])
 
     @classmethod
     def monomial(cls, coefficient: Scalar, power: int) -> "Polynomial":

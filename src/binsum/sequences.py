@@ -80,7 +80,7 @@ def _signed_binomial_sum(row: list, numerators: list, denominator: int) -> Scala
     """sum_j (-1)^j C(m, j) numerators[j] over denominator, for row m.
 
     One pass in int, then one Fraction: each row of _binomial_transform,
-    and the sum over i of the single-sum prefix.
+    and each sum over i of _carried_sums.
     """
     total = sum(map(operator.mul, row, numerators))
     if denominator == 1:
@@ -137,47 +137,53 @@ def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
     return -total if m & 1 else total
 
 
-def a_single_sum_terms(k: int, q: Scalar, n: int) -> list:
-    """a(k, q; 0..n-1) by the single sum, each binomial carried from m to m+1.
+def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
+    """sum_i (-1)^i C(m, i) C(k + rise*m + step*i, k + m) for each m < n.
 
-    From index m-1 to m every top k + (q+1)i stays and the bottom b = k+m
-    rises by one, so column i steps by C(t, b) = C(t, b-1) (t-b+1) / b
-    (Petkovsek, Wilf & Zeilberger, A = B, ch. 3) and column m is new.  At
-    integer q the division is exact and each column is the binomial itself.
-    At q + 1 = p/d the column is the integer falling product of
-    N = kd + pi in steps of d, which gains the factor N - (b-1)d, and the
+    From index m-1 to m the bottom b = k+m rises by one.  At rise 0 the top
+    t stays, so C(t, b) = C(t, b-1) (t-b+1) / b; at rise 1 it rises too, so
+    C(t+1, b) = C(t, b-1) (t+1) / b (Petkovsek, Wilf & Zeilberger, A = B,
+    ch. 3).  Either way column i steps by the factor f = lead + step*i over
+    b, with lead = 1-m at rise 0 and k+m at rise 1, and column m is new.  At
+    an integer step the division is exact and each column is the binomial
+    itself.  At step p/d column i is the integer falling product of
+    N = (k + rise*m)d + pi in steps of d, which gains the factor d*f, and the
     whole row shares the denominator d^b b!, as in alternating_binomial_sum.
-    Each term is still the literal signed sum over the row.
+    Each sum is still the literal signed sum over the row.
     """
-    _check_nonnegative("k", k)
-    _check_nonnegative("n", n)
-    q = _check_q(q)
-    step = q + 1
     columns: list = []
-    terms = []
+    sums = []
     rows = enumerate(_signed_binomial_rows(n))
     if type(step) is int:
         for m, row in rows:
             bottom = k + m
-            # t - b + 1 = step*i - m + 1; a column already 0 stays 0
-            columns = [c * (step * i - m + 1) // bottom for i, c in enumerate(columns)]
-            columns.append(math.comb(k + step * m, bottom))
-            total = _signed_binomial_sum(row, columns, 1)
-            terms.append(-total if m & 1 else total)
-        return terms
+            lead = bottom if rise else 1 - m
+            columns = [c * (lead + step * i) // bottom for i, c in enumerate(columns)]
+            columns.append(math.comb(k + rise * m + step * m, bottom))
+            sums.append(_signed_binomial_sum(row, columns, 1))
+        return sums
     p, d = step.numerator, step.denominator
     denominator = d**k * math.factorial(k)
     for m, row in rows:
         bottom = k + m
         if m:
             denominator *= d * bottom
-            # N - (b-1)d = p*i - (m-1)d
-            columns = [c * (p * i - (m - 1) * d) for i, c in enumerate(columns)]
-        top = k * d + p * m
+            lead = bottom if rise else 1 - m
+            columns = [c * (lead * d + p * i) for i, c in enumerate(columns)]
+        top = (k + rise * m) * d + p * m
         columns.append(math.prod(range(top, top - bottom * d, -d)))
-        total = _signed_binomial_sum(row, columns, denominator)
-        terms.append(-total if m & 1 else total)
-    return terms
+        sums.append(_signed_binomial_sum(row, columns, denominator))
+    return sums
+
+
+def a_single_sum_terms(k: int, q: Scalar, n: int) -> list:
+    """a(k, q; 0..n-1) by the single sum: _carried_sums at step q+1 and
+    rise 0, the tops k + (q+1)i fixed, with odd-index sums negated."""
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _check_q(q)
+    sums = _carried_sums(k, q + 1, n, 0)
+    return [-total if m & 1 else total for m, total in enumerate(sums)]
 
 
 def b_direct(k: int, q: Scalar, j: int) -> Scalar:
@@ -192,42 +198,12 @@ def b_direct(k: int, q: Scalar, j: int) -> Scalar:
 
 
 def b_direct_terms(k: int, q: Scalar, n: int) -> list:
-    """b(k, q; 0..n-1) by the defining sum, each binomial carried from j to j+1.
-
-    From index j-1 to j every top j-1+k+qi and the bottom j-1+k rise by one,
-    so column i steps by C(t+1, b+1) = C(t, b) (t+1) / (b+1) (Petkovsek,
-    Wilf & Zeilberger, A = B, ch. 3) and column j is new.  At integer q the
-    division is exact and each column is the binomial itself.  At q = p/d
-    the column is the integer falling product of N = (k+j)d + pi in steps of
-    d, which gains the factor N, and the whole row shares the denominator
-    d^(k+j) (k+j)!, as in alternating_binomial_sum.  Each term is still the
-    literal signed sum over the row, as in a_single_sum_terms.
-    """
+    """b(k, q; 0..n-1) by the defining sum: _carried_sums at step q and
+    rise 1, the tops j+k+qi rising with the index j."""
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
     q = _check_q(q)
-    columns: list = []
-    terms = []
-    rows = enumerate(_signed_binomial_rows(n))
-    if type(q) is int:
-        for j, row in rows:
-            bottom = k + j
-            # t + 1 = k + j + qi over b + 1 = k + j
-            columns = [c * (bottom + q * i) // bottom for i, c in enumerate(columns)]
-            columns.append(math.comb(bottom + q * j, bottom))
-            terms.append(_signed_binomial_sum(row, columns, 1))
-        return terms
-    p, d = q.numerator, q.denominator
-    denominator = d**k * math.factorial(k)
-    for j, row in rows:
-        bottom = k + j
-        if j:
-            denominator *= d * bottom
-            columns = [c * (bottom * d + p * i) for i, c in enumerate(columns)]
-        top = bottom * d + p * j
-        columns.append(math.prod(range(top, top - bottom * d, -d)))
-        terms.append(_signed_binomial_sum(row, columns, denominator))
-    return terms
+    return _carried_sums(k, q, n, 1)
 
 
 def a_from_b(k: int, q: Scalar, m: int) -> Scalar:

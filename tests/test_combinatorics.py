@@ -5,6 +5,7 @@ expansion by convolution.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from binsum.combinatorics import (
     stirling2,
 )
 from binsum.genfunc import reconstruct_rational
+from binsum.polynomials import Polynomial
 
 
 def count_set_partitions(n, k):
@@ -163,6 +165,25 @@ def test_float_is_refused(call, name, value):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == f"{name} must be an int or a Fraction, not the float {value}"
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda value: binomial(value, 2), "a binomial top"),
+        (lambda value: alternating_binomial_sum(2, 1, value, 1), "step"),
+        (lambda value: pochhammer(value, 2), "a Pochhammer base"),
+        (lambda value: reconstruct_rational([1, value, 1, 1, 1]), "a series term"),
+        (lambda value: Polynomial([1]) * value, "a coefficient"),
+    ],
+)
+@pytest.mark.parametrize("value", ["5", "1/2", Decimal("0.5")])
+def test_non_rational_scalar_is_refused(call, name, value):
+    # a str once ended in an AttributeError or a TypeError, or was parsed;
+    # none is parsed now
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an int or a Fraction, not a {type(value).__name__}"
 
 
 class TestPochhammer:

@@ -484,9 +484,13 @@ def test_seeded_function_is_the_fit_at_rational_q(family, k, q):
 
 
 @SETTINGS
-@given(st.sampled_from("ab"), st.integers(min_value=0, max_value=4), rational_q)
+@given(families, st.integers(min_value=0, max_value=4), rational_q)
 def test_seeded_routes_are_the_defining_sums_at_rational_q(family, k, q):
-    define = {"a": a_double_sum, "b": b_direct}[family]
+    # values and types: an integral term is an int on every route
+    define = {"a": a_double_sum, "b": b_direct, "c": c_direct}[family]
     direct = [define(k, q, n) for n in range(26)]
-    assert paper_gf(family, k, q).series(26) == direct
-    assert recurrence_terms(family, k, q, 26) == direct
+    f = paper_gf(family, k, q)
+    routes = (f.series(26), recurrence_terms(family, k, q, 26), recurrence_from_gf(f).terms(26))
+    for terms in routes:
+        assert terms == direct
+        assert list(map(type, terms)) == list(map(type, direct))

@@ -1,6 +1,7 @@
 """Sequence evaluators: frozen values, cross-route grids, standalone identities."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,21 @@ class TestDomainErrors:
         # computed as 3602879701896397/2**55, so no float is taken, even 2.0
         with pytest.raises(ValueError, match=rf"^q must be an int or a Fraction, not the float {q}$"):
             call(q)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q: b_direct(1, q, 3),
+            lambda q: c_direct(2, q, 2),
+            lambda q: a_single_sum(1, q, 3),
+        ],
+    )
+    @pytest.mark.parametrize("q", ["1/2", " 3 ", Decimal("0.5")])
+    def test_non_rational_q_is_refused(self, call, q):
+        # "1/2" once went through Fraction("1/2") and b_direct gave -13/32
+        with pytest.raises(ValueError) as info:
+            call(q)
+        assert str(info.value) == f"q must be an int or a Fraction, not a {type(q).__name__}"
 
     @pytest.mark.parametrize(
         "terms, scalar",
