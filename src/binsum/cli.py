@@ -256,8 +256,7 @@ def _build_gf(args) -> tuple[RationalGF, str]:
         evaluate, _ = paper_seed(family, q)
         # the paper's order bound k + 1 (J + 1 for C) needs 2k + 3 terms;
         # two more are spares the fit must reproduce
-        series = [evaluate(k_or_J, q, n) for n in range(2 * k_or_J + 5)]
-        return reconstruct_rational(series), variable
+        return reconstruct_rational(evaluate(k_or_J, q, 2 * k_or_J + 5)), variable
     return paper_gf(family, k_or_J, q), variable
 
 

@@ -43,9 +43,10 @@ from .polynomials import Polynomial, RationalGF, render_terms, substitute_cleare
 from .sequences import (
     _check_nonnegative,
     _check_q,
+    _per_index,
     _require_integer_q,
-    a_single_sum,
-    b_direct,
+    a_single_sum_terms,
+    b_direct_terms,
     c_direct,
 )
 
@@ -254,9 +255,9 @@ class CFiniteRecurrence:
         return f"{symbol}(n) = {summed}"
 
 
-def paper_seed(family: str, q: Scalar) -> tuple[Callable[[int, Scalar, int], Scalar], Scalar]:
-    """The seed evaluator of family "a", "b" or "c" and the r of its
-    denominator (1 - r z)^(k+1), with J in place of k for c.
+def paper_seed(family: str, q: Scalar) -> tuple[Callable[[int, Scalar, int], list], Scalar]:
+    """The seed prefix (k, q, n) -> [term 0..n-1] of family "a", "b" or "c"
+    and the r of its denominator (1 - r z)^(k+1), with J in place of k for c.
 
     B_gf's Horner build leaves a numerator N of degree <= k over
     (1+qz)^(k+1), and the binomial transform turns that into
@@ -270,8 +271,10 @@ def paper_seed(family: str, q: Scalar) -> tuple[Callable[[int, Scalar, int], Sca
     integer q >= 0, and for fixed k and index each term is a polynomial in
     q (see a_single_sum), so it holds at every rational q >= 0 too.
     """
-    # built per call, so the evaluators are the ones the module holds now
-    seeds = {"a": (a_single_sum, q + 1), "b": (b_direct, -q), "c": (c_direct, 1)}
+    # built per call, so the prefixes are the ones the module holds now;
+    # c's terms C(J + q i, J) share no sum to carry, so its prefix is per index
+    c_prefix = _per_index(c_direct)
+    seeds = {"a": (a_single_sum_terms, q + 1), "b": (b_direct_terms, -q), "c": (c_prefix, 1)}
     if family not in seeds:
         raise ValueError(f"family must be 'a', 'b' or 'c', got {family!r}")
     return seeds[family]
@@ -282,8 +285,8 @@ def paper_gf(family: str, k: int, q: Scalar) -> RationalGF:
     from its first k+1 terms.
 
     With the form P(z)/(1 - r z)^(k+1), deg P <= k, of paper_seed, the seed
-    terms s fix P = (s * (1 - r z)^(k+1)) mod z^(k+1) (Stanley, Enumerative
-    Combinatorics I, Thm 4.1.1): k+1 evaluations and O(k^2) multiply-adds.
+    terms s, read as one prefix, fix P = (s * (1 - r z)^(k+1)) mod z^(k+1)
+    (Stanley, Enumerative Combinatorics I, Thm 4.1.1): O(k^2) multiply-adds.
     RationalGF puts the quotient in canonical form, so common factors
     (all of them for b at q = 0) cancel.  A_gf, B_gf and C_gf_stirling are
     the paper's constructions of the same functions.
@@ -291,17 +294,15 @@ def paper_gf(family: str, k: int, q: Scalar) -> RationalGF:
     _check_nonnegative("k", k)
     q = _check_q(q)
     seed, r = paper_seed(family, q)
-    order = k + 1
-    terms = [seed(k, q, n) for n in range(order)]
-    weights = _one_minus_power(r, order)
-    return RationalGF(_truncated_product(weights, terms), weights)
+    weights = _one_minus_power(r, k + 1)
+    return RationalGF(_truncated_product(weights, seed(k, q, k + 1)), weights)
 
 
 def recurrence_terms(family: str, k: int, q: Scalar, n: int) -> list[Scalar]:
     """First n terms of family "a", "b" or "c" (J in place of k for c) at
     rational q >= 0, unrolled from the annihilator (1 - r E^-1)^(k+1).
 
-    The first k+1 terms come from paper_seed's evaluator; each later one is
+    The first k+1 terms come from paper_seed's prefix; each later one is
     sum_{i=1..k+1} -C(k+1, i) (-r)^i s(n-i), k+1 multiply-adds, with no
     Polynomial or RationalGF built.  When n <= k+1 the seeds are the answer
     and the coefficients, up to k+1 numbers of O(k log(k r)) bits, are not
@@ -312,7 +313,7 @@ def recurrence_terms(family: str, k: int, q: Scalar, n: int) -> list[Scalar]:
     q = _check_q(q)
     seed, r = paper_seed(family, q)
     order = k + 1
-    initial = [seed(k, q, m) for m in range(min(n, order))]
+    initial = seed(k, q, min(n, order))
     if n <= order:
         return initial
     coefficients = tuple(-w for w in _one_minus_power(r, order)[1:])

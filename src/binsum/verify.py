@@ -43,6 +43,7 @@ from .sequences import (
     a_from_b_terms,
     a_hypergeom,
     a_single_sum,
+    a_single_sum_terms,
     as_integer,
     b_direct_terms,
     b_hypergeom,
@@ -218,14 +219,19 @@ def _check_b_closed(k: int, j_max: int) -> Optional[str]:
 
 def _check_rational_q(q: Fraction, k_top: int, m_top: int) -> Optional[str]:
     terms = m_top + 1
+    prefixes = (a_from_b_terms, a_double_sum_terms, a_single_sum_terms)
     return _first_mismatch(
         "k={0}, m={1}: {2} gave {got}, alternating b gave {want}",
         (
             (got, via_b[m], k, m, route)
             for k in range(k_top + 1)
-            for via_b, double in [(a_from_b_terms(k, q, terms), a_double_sum_terms(k, q, terms))]
+            for via_b, double, single in [[prefix(k, q, terms) for prefix in prefixes]]
             for m in range(terms)
-            for route, got in (("single sum", a_single_sum(k, q, m)), ("double sum", double[m]))
+            for route, got in (
+                ("single sum", a_single_sum(k, q, m)),
+                ("single-sum prefix", single[m]),
+                ("double sum", double[m]),
+            )
         ),
     )
 
@@ -235,9 +241,9 @@ def _formulas_cases() -> list[CaseResult]:
     m_max = 25
     m_range = f"0..{m_max}"
     j_range = f"0..{J_MAX}"
-    # gates like the rest: a_single_sum is what gf --family A --reconstruct
-    # reads at rational q, and a_double_sum_terms is seq --family a's
-    # default route there
+    # gates like the rest: a_single_sum_terms is what gf --family A reads at
+    # rational q, with or without --reconstruct, and a_double_sum_terms is
+    # seq --family a's default route there
     k_top, m_top = 3, 10
     return (
         _cases(

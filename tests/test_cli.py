@@ -297,6 +297,32 @@ class TestGf:
         )
         assert direct == refit == "1/(1 - 3*z)^2\n"
 
+    def test_each_build_reads_one_prefix(self, capsys, monkeypatch):
+        # the seeds of a build come from one prefix call, not one point sum
+        # per index; recurrence_terms reads no more than it returns
+        calls = []
+        real = genfunc.a_single_sum_terms
+
+        def prefix(k, q, n):
+            calls.append((k, q, n))
+            return real(k, q, n)
+
+        monkeypatch.setattr(genfunc, "a_single_sum_terms", prefix)
+        for build, want in (
+            (lambda: genfunc.paper_gf("a", 5, 3), (5, 3, 6)),
+            (lambda: genfunc.recurrence_terms("a", 5, 3, 40), (5, 3, 6)),
+            (lambda: genfunc.recurrence_terms("a", 5, 3, 4), (5, 3, 4)),
+        ):
+            calls.clear()
+            build()
+            assert calls == [want]
+        calls.clear()
+        code, out, err = run(
+            capsys, "gf", "--family", "A", "--k", "5", "--q", "3", "--reconstruct"
+        )
+        assert (code, err, calls) == (0, "", [(5, 3, 15)])
+        assert out == genfunc.paper_gf("a", 5, 3).render() + "\n"
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "gf", "--family", "B", "--k", "1", "--q", "2", "--format", "json"

@@ -193,8 +193,8 @@ class TestFailureText:
             )
 
     def test_wrong_single_sum_at_rational_q_fails(self, monkeypatch):
-        # gf --family A --reconstruct reads a_single_sum at rational q, so a
-        # wrong value there must fail the report, not be recorded beside it
+        # a_single_sum is the point reference beside the single-sum prefix,
+        # so a wrong value there must fail the report, not be recorded beside it
         import binsum.verify as verify_mod
 
         real = verify_mod.a_single_sum
@@ -235,6 +235,33 @@ class TestFailureText:
             want = a_single_sum(0, q, 3)
             assert cases[case_id].actual == (
                 f"k=0, m=3: double sum gave {want + 1}, alternating b gave {want}"
+            )
+
+    def test_wrong_single_sum_prefix_at_rational_q_fails(self, monkeypatch):
+        # gf --family A reads its seeds from a_single_sum_terms at rational
+        # q, with or without --reconstruct, so a wrong value there must fail
+        # both rational-q cases; the integer-q cases pass
+        import binsum.verify as verify_mod
+
+        real = verify_mod.a_single_sum_terms
+        monkeypatch.setattr(
+            verify_mod,
+            "a_single_sum_terms",
+            lambda k, q, n: [
+                v + (isinstance(q, Fraction) and m == 3) for m, v in enumerate(real(k, q, n))
+            ],
+        )
+        report = run_suite("formulas")
+        cases = cases_by_id(report)
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == [
+            "formulas/rational-q/a-agreement/q1-2",
+            "formulas/rational-q/a-agreement/q3-2",
+        ]
+        for q, case_id in zip((Fraction(1, 2), Fraction(3, 2)), failed):
+            want = a_single_sum(0, q, 3)
+            assert cases[case_id].actual == (
+                f"k=0, m=3: single-sum prefix gave {want + 1}, alternating b gave {want}"
             )
 
     def test_kernel_wrong_only_at_rational_step_fails(self, monkeypatch):
