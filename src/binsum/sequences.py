@@ -187,14 +187,31 @@ def a_single_sum_terms(k: int, q: Scalar, n: int) -> list:
 
 
 def b_direct(k: int, q: Scalar, j: int) -> Scalar:
-    """The defining alternating sum for b(k, q; j).  Rational q is allowed."""
+    """The defining alternating sum for b(k, q; j).  Rational q is allowed.
+
+    Each term is one binomial(j + k + q*i, j + k) call.  At q = p/d the
+    top is the Fraction ((j+k)d + pi)/d, whose binomial's reduced
+    denominator divides D = d^(j+k) (j+k)!, so the terms are summed in int
+    over D and one Fraction is built at the end (Petkovsek, Wilf &
+    Zeilberger, A = B, ch. 3).
+    """
     _check_nonnegative("k", k)
     _check_nonnegative("j", j)
     q = _check_q(q)
-    total: Scalar = 0
+    bottom = j + k
+    total = 0
+    if type(q) is int:
+        for i in range(j + 1):
+            term = binomial(j, i) * binomial(bottom + q * i, bottom)
+            total += -term if i & 1 else term
+        return total
+    p, d = q.numerator, q.denominator
+    denominator = d**bottom * math.factorial(bottom)
     for i in range(j + 1):
-        total += (-1) ** i * binomial(j, i) * binomial(j + k + q * i, j + k)
-    return normalize_scalar(total)
+        value = binomial(Fraction(bottom * d + p * i, d), bottom)
+        term = binomial(j, i) * value.numerator * (denominator // value.denominator)
+        total += -term if i & 1 else term
+    return normalize_scalar(Fraction(total, denominator))
 
 
 def b_direct_terms(k: int, q: Scalar, n: int) -> list:

@@ -15,7 +15,7 @@ from math import comb, factorial, gcd
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from binsum.combinatorics import alternating_binomial_sum, binomial  # noqa: E402
@@ -383,6 +383,21 @@ rational_q = st.builds(
 @given(rational_q, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10))
 def test_single_sum_is_the_double_sum_at_rational_q(q, k, m):
     assert a_single_sum(k, q, m) == a_double_sum(k, q, m)
+
+
+# b's defining sum, binomial by binomial over one shared denominator,
+# against the kernel's independent falling products: q = 0, p < d and an
+# integral p/d are drawn too, and each value is an int exactly when integral.
+@SETTINGS
+@given(rational_q, st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=40))
+@example(Fraction(0), 3, 12)
+@example(Fraction(3, 7), 6, 40)
+@example(Fraction(14, 7), 2, 20)
+def test_b_direct_is_the_kernel_at_rational_q(q, k, j):
+    value = b_direct(k, q, j)
+    kernel = alternating_binomial_sum(j, j + k, q, j + k)
+    assert value == kernel
+    assert type(value) is type(kernel) is (int if Fraction(kernel).denominator == 1 else Fraction)
 
 
 # Both transform routes of a against their defining sums, written out here:

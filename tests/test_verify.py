@@ -288,6 +288,31 @@ class TestFailureText:
         for case_id in failed:
             assert cases[case_id].actual.startswith("k=0, m=7: single sum gave ")
 
+    def test_binomial_wrong_only_at_rational_top_fails(self, monkeypatch):
+        # in the formulas suite only b_direct's rational branch passes
+        # binomial a non-integral top, and a_from_b_terms reads b_direct, so
+        # a slip there alone must fail both rational-q cases
+        import binsum.sequences as sequences_mod
+
+        real = sequences_mod.binomial
+        monkeypatch.setattr(
+            sequences_mod,
+            "binomial",
+            lambda top, bottom: real(top, bottom)
+            + (bottom == 7 and isinstance(top, Fraction) and top.denominator != 1),
+        )
+        report = run_suite("formulas")
+        cases = cases_by_id(report)
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == [
+            "formulas/rational-q/a-agreement/q1-2",
+            "formulas/rational-q/a-agreement/q3-2",
+        ]
+        for q, case_id in zip((Fraction(1, 2), Fraction(3, 2)), failed):
+            assert cases[case_id].actual.startswith(
+                f"k=0, m=7: single sum gave {a_single_sum(0, q, 7)}, alternating b gave "
+            )
+
     def test_wrong_recurrence_route_fails_fidelity(self, monkeypatch):
         # seq's default route is checked past its k+1 seed terms
         import binsum.verify as verify_mod
