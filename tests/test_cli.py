@@ -181,18 +181,6 @@ class TestSeq:
             assert default[0] == 0
             assert default == run(capsys, *args, "--via", "direct")
 
-    def test_large_q_b_file_is_linear(self, capsys):
-        # b(0, q; j) = (-q)^j; the defining sum takes minutes for this file
-        code, out, err = run(
-            capsys, "seq", "--family", "b", "--k", "0", "--q", "100000",
-            "--n-max", "900", "--format", "bfile",
-        )
-        assert (code, err) == (0, "")
-        lines = out.splitlines()
-        assert len(lines) == 900
-        # (-100000)^899 = -10^4495, past the 4,300-digit cap
-        assert lines[-1] == "899 -1" + "0" * 4495
-
     def test_series_route_needs_integer_q(self, capsys):
         # the message names the route the user picked, not an internal function
         for family, q, message in (

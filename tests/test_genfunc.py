@@ -220,9 +220,6 @@ class TestPaperGf:
     def test_a_construction_at_size(self):
         assert A_gf(40, 3) == paper_gf("a", 40, 3)
 
-    def test_c_construction_at_size_and_rational_q(self):
-        assert C_gf_stirling(60, Fraction(7, 3)) == paper_gf("c", 60, Fraction(7, 3))
-
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             paper_gf("a", -1, 2)
