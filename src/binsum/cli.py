@@ -237,7 +237,7 @@ def _cmd_seq(args) -> int:
             print(",".join(str(v) for v in values))
         elif args.format == "bfile":
             for i, v in enumerate(values):
-                if Fraction(v).denominator != 1:
+                if v.denominator != 1:
                     raise _UsageError(
                         f"term {i} is {v}; b-file output needs integer terms"
                     )

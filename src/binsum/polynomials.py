@@ -31,6 +31,7 @@ int while the numerator leaves no remainder; no Fraction is formed.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -213,25 +214,26 @@ def _linear_power(nums: Sequence[int]) -> tuple[int, tuple[int, int], int] | Non
     """(c, (b0, b1), e) with nums = c * (b0 + b1*z)^e, or None.
 
     b0 + b1*z is primitive with b0 > 0, or it is z.  For b0 != 0 the
-    logarithmic derivative at 0 gives b1/b0 = nums_1 / (e * nums_0); the
-    form is then confirmed by e exact divisions, which leave c.
+    logarithmic derivative at 0 gives b1/b0 = nums_1 / (e * nums_0).  The
+    form is then confirmed by the ratio of neighbouring coefficients,
+    nums_(i+1) (i+1) b0 = nums_i (e-i) b1 for i < e, which also requires
+    nums_i = 0 below z^e when the base is z.  A primitive base makes the
+    power primitive (Gauss's lemma), so c = nums_e / b1^e is an integer.
     """
     e = len(nums) - 1
     if e < 1:
         return (nums[0], (0, 1), 0) if nums else None
     if nums[0]:
         ratio = Fraction(nums[1], e * nums[0])
-        base = (ratio.denominator, ratio.numerator)
+        b0, b1 = ratio.denominator, ratio.numerator
     else:
-        base = (0, 1)
-    if not base[1]:
+        b0, b1 = 0, 1
+    if not b1:
         return None
-    quotient = nums
-    for _ in range(e):
-        quotient = _divide_linear(quotient, *base)
-        if quotient is None:
+    for i in range(e):
+        if nums[i + 1] * (i + 1) * b0 != nums[i] * (e - i) * b1:
             return None
-    return quotient[0], base, e
+    return nums[e] // b1**e, (b0, b1), e
 
 
 def render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
@@ -386,33 +388,42 @@ class RationalGF:
     __rmul__ = __mul__
 
     def series(self, n: int) -> list[Scalar]:
-        """First n Taylor coefficients at 0 by fraction-free long division.
+        """First n Taylor coefficients at 0, by the binomial series.
 
-        The canonical numerator N and denominator D have integer
-        coefficients, so with d0 = D_0 the scaled terms t_i = s_i * d0^(i+1)
-        are integers: t_i = N_i d0^i - sum_{j>=1} D_j d0^(j-1) t_{i-j}.  The
-        loop runs in int and each term is reduced once, as t_i / d0^(i+1),
-        to an int when d0^(i+1) divides t_i and a Fraction only otherwise.
+        The canonical denominator is c * (b0 + b1*z)^e with b0 != 0 (a power
+        of z has no expansion at 0), and 1/(b0 + b1*z)^e = sum_m
+        C(e+m-1, m) (-b1)^m z^m / b0^(e+m) (Stanley, Enumerative
+        Combinatorics I, Thm 4.1.1).  So with the integer weights W_m =
+        C(e+m-1, m) (-b1)^m, each from the one before as
+        W_(m-1) (e+m-1) (-b1) / m, the numerator N gives
+        s_n = sum_(i <= min(n, deg N)) N_i b0^i W_(n-i) / (c b0^(e+n)).
+        The sum runs in int and each term is reduced once, to an int when
+        its denominator divides it and a Fraction only otherwise.
         """
         if n < 1:
             raise ValueError("series length must be positive")
         num, den = self._num._nums, self._den._nums
-        d0 = den[0]
-        if d0 == 0:
+        if den[0] == 0:
             raise NotAPowerSeriesError(
                 "denominator constant coefficient is zero; no expansion at 0"
             )
-        weights = [c * d0 ** (j - 1) for j, c in enumerate(den[1:], 1)]
-        scaled: list[int] = []
+        scale, (b0, b1), e = _linear_power(den)
+        if not e:
+            # a constant c, reported over the base z: with b0 = 1 every
+            # weight past W_0 is 0 and each term is N_n / c
+            b0 = 1
+        weights = [1]
+        for m in range(1, n):
+            weights.append(weights[-1] * (e + m - 1) * -b1 // m)
+        scaled = [c * b0**i for i, c in enumerate(num)]
         out: list[Scalar] = []
-        power = 1  # d0^i
+        power = scale * b0**e  # c b0^(e+i)
         for i in range(n):
-            t = num[i] * power if i < len(num) else 0
-            t -= sum(w * s for w, s in zip(weights, reversed(scaled)))
-            scaled.append(t)
-            power *= d0
+            top = min(i + 1, len(scaled))
+            t = sum(map(operator.mul, scaled[:top], reversed(weights[i + 1 - top : i + 1])))
             quotient, rest = divmod(t, power)
             out.append(Fraction(t, power) if rest else quotient)
+            power *= b0
         return out
 
     def render(self, variable: str = "z") -> str:

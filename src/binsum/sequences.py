@@ -80,7 +80,7 @@ def _signed_binomial_sum(row: list, numerators: list, denominator: int) -> Scala
     """sum_j (-1)^j C(m, j) numerators[j] over denominator, for row m.
 
     One pass in int, then one Fraction: each row of _binomial_transform,
-    and each sum over i of _carried_sums.
+    and each sum over i of _carried_sums at a rational step.
     """
     total = sum(map(operator.mul, row, numerators))
     if denominator == 1:
@@ -144,27 +144,33 @@ def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
     t stays, so C(t, b) = C(t, b-1) (t-b+1) / b; at rise 1 it rises too, so
     C(t+1, b) = C(t, b-1) (t+1) / b (Petkovsek, Wilf & Zeilberger, A = B,
     ch. 3).  Either way column i steps by the factor f = lead + step*i over
-    b, with lead = 1-m at rise 0 and k+m at rise 1, and column m is new.  At
-    an integer step the division is exact and each column is the binomial
-    itself.  At step p/d column i is the integer falling product of
-    N = (k + rise*m)d + pi in steps of d, which gains the factor d*f, and the
-    whole row shares the denominator d^b b!, as in alternating_binomial_sum.
-    Each sum is still the literal signed sum over the row.
+    b, with lead = 1-m at rise 0 and k+m at rise 1, and column m is new.
+
+    At an integer step column i is the whole term C(m, i) C(t, b), which
+    also gains C(m, i) / C(m-1, i) = m / (m-i): one exact // per column,
+    since the quotient is a product of two binomials, and each sum is the
+    even columns less the odd ones.  At step p/d column i is the integer
+    falling product of N = (k + rise*m)d + pi in steps of d, which gains the
+    factor d*f, and the whole row shares the denominator d^b b!, as in
+    alternating_binomial_sum; each sum is the signed sum over the row of
+    C(m, i) by _signed_binomial_sum.  Either way each sum is still the
+    literal signed sum over i.
     """
     columns: list = []
     sums = []
-    rows = enumerate(_signed_binomial_rows(n))
     if type(step) is int:
-        for m, row in rows:
+        for m in range(n):
             bottom = k + m
             lead = bottom if rise else 1 - m
-            columns = [c * (lead + step * i) // bottom for i, c in enumerate(columns)]
+            columns = [
+                c * m * (lead + step * i) // ((m - i) * bottom) for i, c in enumerate(columns)
+            ]
             columns.append(math.comb(k + rise * m + step * m, bottom))
-            sums.append(_signed_binomial_sum(row, columns, 1))
+            sums.append(sum(columns[0::2]) - sum(columns[1::2]))
         return sums
     p, d = step.numerator, step.denominator
     denominator = d**k * math.factorial(k)
-    for m, row in rows:
+    for m, row in enumerate(_signed_binomial_rows(n)):
         bottom = k + m
         if m:
             denominator *= d * bottom

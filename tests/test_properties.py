@@ -19,7 +19,11 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from binsum.combinatorics import alternating_binomial_sum, binomial  # noqa: E402
-from binsum.errors import NeedsMoreTermsError, NotALinearPowerError  # noqa: E402
+from binsum.errors import (  # noqa: E402
+    NeedsMoreTermsError,
+    NotALinearPowerError,
+    NotAPowerSeriesError,
+)
 from binsum.genfunc import (  # noqa: E402
     A_gf,
     B_gf,
@@ -31,7 +35,13 @@ from binsum.genfunc import (  # noqa: E402
     recurrence_from_gf,
     recurrence_terms,
 )
-from binsum.polynomials import Polynomial, RationalGF, poly_gcd  # noqa: E402
+from binsum.polynomials import (  # noqa: E402
+    Polynomial,
+    RationalGF,
+    _divide_linear,
+    _linear_power,
+    poly_gcd,
+)
 from binsum.sequences import (  # noqa: E402
     a_double_sum,
     a_double_sum_terms,
@@ -224,6 +234,87 @@ def test_binomial_transform_is_an_involution(f):
 @given(series_gf, st.integers(min_value=1, max_value=25))
 def test_recurrence_regenerates_series(f, n):
     assert recurrence_from_gf(f).terms(n) == f.series(n)
+
+
+def _ref_series(num, den, n):
+    """The first n terms of num/den by long division, den[0] != 0."""
+    out = []
+    for i in range(n):
+        rest = num[i] if i < len(num) else 0
+        rest -= sum(den[j] * out[i - j] for j in range(1, min(i, len(den) - 1) + 1))
+        out.append(rest / den[0])
+    return out
+
+
+# num over c * (b0 + b1*z)^e with b0 != 0, e = 0 included: the binomial
+# series against the long division, with an int exactly where it is integral
+@SETTINGS
+@given(
+    st.lists(coefficient, max_size=7),
+    linear_factor.filter(lambda b: b[0] != 0),
+    st.integers(min_value=0, max_value=6),
+    st.one_of(st.integers(min_value=-5, max_value=5).filter(bool), nonzero_coefficient),
+    st.integers(min_value=1, max_value=20),
+)
+def test_series_is_the_long_division(num, base, e, c, n):
+    den = _trim(c * x for x in _ref_power(list(base), e))
+    terms = RationalGF(num, den).series(n)
+    reference = _ref_series(_trim(num), den, n)
+    assert terms == reference
+    assert [type(t) for t in terms] == [
+        int if t.denominator == 1 else Fraction for t in reference
+    ]
+
+
+@SETTINGS
+@given(
+    st.lists(coefficient, max_size=5).filter(lambda a: a and a[0] != 0),
+    st.integers(min_value=1, max_value=5),
+    nonzero_coefficient,
+)
+def test_power_of_z_has_no_series(num, e, c):
+    with pytest.raises(NotAPowerSeriesError):
+        RationalGF(num, Polynomial.monomial(c, e)).series(3)
+
+
+def _int_poly(*factors):
+    out = [1]
+    for factor in factors:
+        out = [int(x) for x in _ref_mul(out, list(factor))]
+    return out
+
+
+# two linear factors that are not associates
+distinct_pair = st.tuples(linear_factor, linear_factor).filter(
+    lambda p: p[0] != p[1] and p[0] != (-p[1][0], -p[1][1])
+)
+
+
+@SETTINGS
+@given(distinct_pair, st.integers(min_value=-5, max_value=5).filter(bool))
+def test_product_of_two_factors_is_not_a_linear_power(pair, c):
+    assert _linear_power([c * x for x in _int_poly(*pair)]) is None
+
+
+@SETTINGS
+@given(
+    linear_factor,
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+)
+def test_linear_power_is_the_repeated_division(base, e, c):
+    nums = [c * x for x in _int_poly(*[base] * e)]
+    form = _linear_power(nums)
+    if e == 0:
+        assert form == (c, (0, 1), 0)
+        return
+    b0, b1 = base
+    # the base is given with b0 > 0, or as z itself
+    expected = (0, 1) if b0 == 0 else (b0, b1) if b0 > 0 else (-b0, -b1)
+    quotient = nums
+    for _ in range(e):
+        quotient = _divide_linear(quotient, *expected)
+    assert form == (quotient[0], expected, e)
 
 
 def _order(f):

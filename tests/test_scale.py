@@ -99,8 +99,8 @@ def test_seeded_build_equals_the_fit(row):
 # order 81, where the transform maps A(80, 3) back to B(80, 3), and with
 # sign +1 in C(150, 3).  The large-k builds read their seeds from the
 # carried prefixes, so their series past the seeds is checked against the
-# scalar sums, which compute each term afresh: A(400, 3) in int and
-# B(200, 1/2) over a shared denominator
+# scalar sums, which compute each term afresh: A(400, 3) in int, and
+# B(200, 1/2) and A(400, 1/2) over a shared denominator
 CONSTRUCTIONS = """
 from fractions import Fraction
 from binsum.genfunc import A_gf, B_gf, C_gf_stirling, binomial_transform_gf, paper_gf
@@ -113,6 +113,7 @@ assert C_gf_stirling(150, 3) == paper_gf("c", 150, 3)
 assert paper_gf("a", 400, 3).series(410)[400:] == [a_single_sum(400, 3, m) for m in range(400, 410)]
 half = Fraction(1, 2)
 assert paper_gf("b", 200, half).series(205)[200:] == [b_direct(200, half, j) for j in range(200, 205)]
+assert paper_gf("a", 400, half).series(405)[400:] == [a_single_sum(400, half, m) for m in range(400, 405)]
 """
 
 

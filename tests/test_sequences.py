@@ -10,6 +10,7 @@ from binsum.combinatorics import binomial
 from binsum.errors import UnsupportedParameterError
 from binsum.genfunc import paper_gf, recurrence_terms
 from binsum.sequences import (
+    _carried_sums,
     a_double_sum,
     a_double_sum_terms,
     a_from_b,
@@ -119,6 +120,26 @@ def test_a_series_route_agrees_past_the_verify_grid():
         for q in range(8):
             for m in range(31):
                 assert a_hypergeom(k, q, m) == a_single_sum(k, q, m), (k, q, m)
+
+
+# The integer carry holds each term C(m, i) C(t, k+m) whole and steps it by
+# m (t-stepped factor) / ((m-i)(k+m)); the property tests stop at 40 terms,
+# so both rises are checked here against the literal sum out to 60
+@pytest.mark.parametrize("rise", [0, 1])
+def test_integer_carry_is_the_literal_sum(rise):
+    n = 60
+    for k in range(7):
+        for step in range(7):
+            literal = [
+                sum(
+                    (-1) ** i * math.comb(m, i) * math.comb(k + rise * m + step * i, k + m)
+                    for i in range(m + 1)
+                )
+                for m in range(n)
+            ]
+            sums = _carried_sums(k, step, n, rise)
+            assert sums == literal, (k, step)
+            assert all(type(s) is int for s in sums)
 
 
 def test_b_k0_is_alternating_geometric():
