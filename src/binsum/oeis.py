@@ -105,7 +105,8 @@ def _decode(data: bytes) -> str:
 def cache_path(oeis_id: str, cache_dir: Optional[str] = None) -> Path:
     """Resolve the on-disk cache location for a sequence's b-file."""
     if cache_dir is None:
-        cache_dir = os.environ.get("BINSUM_CACHE_DIR")
+        # an empty value counts as unset, not as the current directory
+        cache_dir = os.environ.get("BINSUM_CACHE_DIR") or None
     if cache_dir is None:
         cache_dir = os.path.join(os.path.expanduser("~"), ".cache", "binsum")
     return Path(cache_dir) / f"b{oeis_id[1:]}.txt"

@@ -67,38 +67,25 @@ def _per_index(evaluate):
     return lambda k, q, n: [evaluate(k, q, i) for i in range(n)]
 
 
-def _signed_binomial_rows(n: int):
-    """The rows (-1)^j C(m, j), j = 0..m, for m < n, each from the one before."""
-    row = [1]
-    for m in range(n):
-        if m:
-            row = [a - b for a, b in zip(row + [0], [0] + row)]
-        yield row
-
-
-def _signed_binomial_sum(row: list, numerators: list, denominator: int) -> Scalar:
-    """sum_j (-1)^j C(m, j) numerators[j] over denominator, for row m.
-
-    One pass in int, then one Fraction: each row of _binomial_transform,
-    and each sum over i of _carried_sums at a rational step.
-    """
-    total = sum(map(operator.mul, row, numerators))
-    if denominator == 1:
-        return total
-    return normalize_scalar(Fraction(total, denominator))
-
-
 def _binomial_transform(values: list) -> list:
     """sum_{j=0..m} (-1)^j C(m, j) values[j] for each m < len(values).
 
-    The values go over the lcm of their denominators once, so every row is
-    summed in int; integer values skip the scaling.
+    Entry m is the m-th difference at 0 under the step v_j - v_{j+1}, which
+    is (-1)^m times the forward one (Graham, Knuth & Patashnik, Concrete
+    Mathematics, eq. 5.40), so one difference table gives every entry.  The
+    values go over the lcm of their denominators once, so the table is in
+    int; integer values skip the scaling.
     """
     denominator = math.lcm(*(v.denominator for v in values if type(v) is not int))
     if denominator != 1:
         values = [v.numerator * (denominator // v.denominator) for v in values]
-    rows = _signed_binomial_rows(len(values))
-    return [_signed_binomial_sum(row, values, denominator) for row in rows]
+    heads = []
+    while values:
+        heads.append(values[0])
+        values = [a - b for a, b in zip(values, values[1:])]
+    if denominator == 1:
+        return heads
+    return [normalize_scalar(Fraction(head, denominator)) for head in heads]
 
 
 def a_double_sum(k: int, q: Scalar, m: int) -> Scalar:
@@ -113,7 +100,7 @@ def a_double_sum_terms(k: int, q: Scalar, n: int) -> list:
 
     The inner sum over i does not depend on m.  It is (-1)^j times
     b(k, q; j), so the kernel evaluates b once per j for the whole prefix
-    and each outer sum is a row of the binomial transform of that list.
+    and each outer sum is the m-th difference of that list.
     """
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
@@ -152,8 +139,9 @@ def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
     even columns less the odd ones.  At step p/d column i is the integer
     falling product of N = (k + rise*m)d + pi in steps of d, which gains the
     factor d*f, and the whole row shares the denominator d^b b!, as in
-    alternating_binomial_sum; each sum is the signed sum over the row of
-    C(m, i) by _signed_binomial_sum.  Either way each sum is still the
+    alternating_binomial_sum.  Each sum is then the row (-1)^i C(m, i),
+    stepped from row m-1 by Pascal's rule, dotted with the columns in int and
+    put over that denominator once.  Either way each sum is still the
     literal signed sum over i.
     """
     columns: list = []
@@ -170,15 +158,17 @@ def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
         return sums
     p, d = step.numerator, step.denominator
     denominator = d**k * math.factorial(k)
-    for m, row in enumerate(_signed_binomial_rows(n)):
+    row = [1]
+    for m in range(n):
         bottom = k + m
         if m:
             denominator *= d * bottom
             lead = bottom if rise else 1 - m
             columns = [c * (lead * d + p * i) for i, c in enumerate(columns)]
+            row = [a - b for a, b in zip(row + [0], [0] + row)]
         top = (k + rise * m) * d + p * m
         columns.append(math.prod(range(top, top - bottom * d, -d)))
-        sums.append(_signed_binomial_sum(row, columns, denominator))
+        sums.append(normalize_scalar(Fraction(sum(map(operator.mul, row, columns)), denominator)))
     return sums
 
 
@@ -236,7 +226,7 @@ def a_from_b(k: int, q: Scalar, m: int) -> Scalar:
 
 
 def a_from_b_terms(k: int, q: Scalar, n: int) -> list:
-    """a(k, q; 0..n-1) as the binomial transform of b, one b_direct call per index."""
+    """a(k, q; 0..n-1) as b's m-th differences, one b_direct call per index."""
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
     q = _check_q(q)
@@ -292,7 +282,7 @@ def b_hypergeom(k: int, q: int, j: int) -> Scalar:
         )
     numerator_params = [-j] + [Fraction(k + j + l, q) for l in range(1, q + 1)]
     denominator_params = [Fraction(l, q) for l in range(1, q + 1)]
-    return normalize_scalar(hyp_terminating(numerator_params, denominator_params))
+    return hyp_terminating(numerator_params, denominator_params)
 
 
 def zero_sum_identity(j: int, q: int) -> int:

@@ -105,6 +105,11 @@ class TestCachePath:
         assert path.name == "b019538.txt"
         assert ".cache" in str(path)
 
+    def test_empty_env_is_unset(self, monkeypatch):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", "")
+        monkeypatch.setenv("HOME", "/home/someone")
+        assert cache_path("A027471") == Path("/home/someone/.cache/binsum/b027471.txt")
+
 
 class TestFetch:
     def test_offline_fixture(self, tmp_path):

@@ -43,6 +43,7 @@ from binsum.polynomials import (  # noqa: E402
     poly_gcd,
 )
 from binsum.sequences import (  # noqa: E402
+    _binomial_transform,
     a_double_sum,
     a_double_sum_terms,
     a_from_b_terms,
@@ -518,6 +519,31 @@ def test_prefixes_are_the_literal_sums(k, q, n):
         assert [type(t) for t in terms] == [
             int if Fraction(t).denominator == 1 else Fraction for t in literal
         ]
+
+
+# The transform alone, as a difference table, against its literal sum, on
+# values shaped like the kernel's and b_direct's: ints, and Fractions only
+# where not integral, in lists longer than the prefixes drawn above.
+@SETTINGS
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-(10**12), max_value=10**12),
+            st.fractions(max_denominator=50).filter(lambda v: v.denominator != 1),
+        ),
+        max_size=40,
+    )
+)
+def test_binomial_transform_is_the_literal_sum(values):
+    terms = _binomial_transform(values)
+    literal = [
+        sum((-1) ** j * comb(m, j) * Fraction(values[j]) for j in range(m + 1))
+        for m in range(len(values))
+    ]
+    assert terms == literal
+    assert [type(t) for t in terms] == [
+        int if t.denominator == 1 else Fraction for t in literal
+    ]
 
 
 # The single-sum prefix carries each C(k + (q+1)i, k+m) from m to m+1,
