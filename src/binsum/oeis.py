@@ -33,7 +33,7 @@ __all__ = [
     "mapping_for",
 ]
 
-_ID_PATTERN = re.compile(r"\AA\d{6,7}\Z")
+_ID_PATTERN = re.compile(r"\AA[0-9]{6,7}\Z")
 _BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
 # seconds a b-file fetch may wait on the network
 _FETCH_TIMEOUT = 10.0

@@ -15,7 +15,6 @@ verification suites compare exactly.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .combinatorics import (
@@ -130,45 +129,43 @@ def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
     From index m-1 to m the bottom b = k+m rises by one.  At rise 0 the top
     t stays, so C(t, b) = C(t, b-1) (t-b+1) / b; at rise 1 it rises too, so
     C(t+1, b) = C(t, b-1) (t+1) / b (Petkovsek, Wilf & Zeilberger, A = B,
-    ch. 3).  Either way column i steps by the factor f = lead + step*i over
-    b, with lead = 1-m at rise 0 and k+m at rise 1, and column m is new.
+    ch. 3).  Either way C(t, b) gains f = lead + step*i over b, with lead =
+    1-m at rise 0 and k+m at rise 1, and C(m, i) gains m / (m-i).
 
-    At an integer step column i is the whole term C(m, i) C(t, b), which
-    also gains C(m, i) / C(m-1, i) = m / (m-i): one exact // per column,
-    since the quotient is a product of two binomials, and each sum is the
-    even columns less the odd ones.  At step p/d column i is the integer
-    falling product of N = (k + rise*m)d + pi in steps of d, which gains the
-    factor d*f, and the whole row shares the denominator d^b b!, as in
-    alternating_binomial_sum.  Each sum is then the row (-1)^i C(m, i),
-    stepped from row m-1 by Pascal's rule, dotted with the columns in int and
-    put over that denominator once.  Either way each sum is still the
-    literal signed sum over i.
+    At step p/d, C(N/d, b) D_b is an integer for every integer N, where
+    D_b = d^b gcd(b!, d^b): a prime not dividing d never divides the
+    denominator of C(N/d, b), a prime l dividing d divides it at most
+    b v_l(d) + v_l(b!) times, and gcd(b!, d^b) is the part of b! made of
+    d's primes.  Column i holds the integer C(m, i) C(t, b) D_b.  D_b gains
+    d times the part of b made of d's primes, so the column steps by one
+    exact m (lead*d + p*i) // ((m-i) unit), unit being b with d's primes
+    divided out.  New column m is C(t, b) at d = 1, else the falling product
+    of t*d in steps of d over the part of b! prime to d.  Each sum is the
+    even columns less the odd ones over D_b; at an integer step D_b = 1 and
+    unit = b, so it is an int.
     """
+    p, d = step.numerator, step.denominator
+    # for b below 2^e, gcd(b, d^e) is the part of b made of d's primes
+    powers = d ** (k + n).bit_length()
+    made_of_d = math.gcd(math.factorial(k), d**k)
+    prime_to_d, denominator = math.factorial(k) // made_of_d, d**k * made_of_d
     columns: list = []
     sums = []
-    if type(step) is int:
-        for m in range(n):
-            bottom = k + m
-            lead = bottom if rise else 1 - m
-            columns = [
-                c * m * (lead + step * i) // ((m - i) * bottom) for i, c in enumerate(columns)
-            ]
-            columns.append(math.comb(k + rise * m + step * m, bottom))
-            sums.append(sum(columns[0::2]) - sum(columns[1::2]))
-        return sums
-    p, d = step.numerator, step.denominator
-    denominator = d**k * math.factorial(k)
-    row = [1]
     for m in range(n):
         bottom = k + m
         if m:
-            denominator *= d * bottom
-            lead = bottom if rise else 1 - m
-            columns = [c * (lead * d + p * i) for i, c in enumerate(columns)]
-            row = [a - b for a, b in zip(row + [0], [0] + row)]
+            unit = bottom // math.gcd(bottom, powers)
+            prime_to_d *= unit
+            denominator *= d * (bottom // unit)
+            lead = (bottom if rise else 1 - m) * d
+            columns = [c * m * (lead + p * i) // ((m - i) * unit) for i, c in enumerate(columns)]
         top = (k + rise * m) * d + p * m
-        columns.append(math.prod(range(top, top - bottom * d, -d)))
-        sums.append(normalize_scalar(Fraction(sum(map(operator.mul, row, columns)), denominator)))
+        if d == 1:
+            columns.append(math.comb(top, bottom))
+        else:
+            columns.append(math.prod(range(top, top - bottom * d, -d)) // prime_to_d)
+        total = sum(columns[0::2]) - sum(columns[1::2])
+        sums.append(total if denominator == 1 else normalize_scalar(Fraction(total, denominator)))
     return sums
 
 

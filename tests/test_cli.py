@@ -488,6 +488,13 @@ class TestOeis:
         code, _, err = run(capsys, "oeis", "--id", "X123")
         assert code == 2
 
+    def test_non_ascii_digits_are_an_invalid_id(self, capsys):
+        # A027471 in Arabic-Indic digits is a usage error, not a missing fixture
+        oeis_id = "A\u0660\u0662\u0667\u0664\u0667\u0661"
+        code, out, err = run(capsys, "oeis", "--id", oeis_id, "--offline")
+        assert (code, out) == (2, "")
+        assert err == f"binsum: error: not a valid OEIS id: {oeis_id!r}\n"
+
     def test_missing_fixture(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         code, _, err = run(capsys, "oeis", "--id", "A000001", "--offline")

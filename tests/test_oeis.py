@@ -84,7 +84,12 @@ class TestIdValidation:
         assert validate_oeis_id("A027471") == "A027471"
         assert validate_oeis_id("A0000045") == "A0000045"
 
-    @pytest.mark.parametrize("bad", ["X123", "A12", "a027471", "A1234567890", ""])
+    # the digits are ASCII: Arabic-Indic ones would make a non-ASCII URL and
+    # cache file name
+    @pytest.mark.parametrize(
+        "bad",
+        ["X123", "A12", "a027471", "A1234567890", "", "A\u0660\u0662\u0667\u0664\u0667\u0661"],
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             validate_oeis_id(bad)

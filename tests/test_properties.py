@@ -546,19 +546,36 @@ def test_binomial_transform_is_the_literal_sum(values):
     ]
 
 
+# The carry behind both defining-sum prefixes holds C(N/d, b) times
+# D_b = d^b gcd(b!, d^b), which must be an integer: a prime not dividing d
+# never divides its denominator, and a prime dividing d at most
+# b v_l(d) + v_l(b!) times, all of it in D_b.
+@SETTINGS
+@given(
+    st.integers(min_value=-60, max_value=200),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=30),
+)
+@example(-60, 60, 30)
+@example(199, 32, 30)
+def test_carried_denominator_clears_the_binomial(N, d, b):
+    value = Fraction(binomial(Fraction(N, d), b)) * d**b * gcd(factorial(b), d**b)
+    assert value.denominator == 1
+
+
 # The single-sum prefix carries each C(k + (q+1)i, k+m) from m to m+1,
-# exactly at integer q and over one shared denominator at q + 1 = p/d.
+# exactly at integer q and over D_b at q + 1 = p/d, so d with a square or
+# with two or three primes is drawn too.
 @SETTINGS
 @given(
     st.integers(min_value=0, max_value=6),
-    st.one_of(
-        st.integers(min_value=0, max_value=5),
-        st.builds(
-            Fraction, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=5)
-        ),
-    ),
+    st.one_of(st.integers(min_value=0, max_value=5), rational_q),
     st.integers(min_value=0, max_value=40),
 )
+@example(6, Fraction(7, 8), 40)
+@example(5, Fraction(11, 9), 40)
+@example(4, Fraction(5, 12), 40)
+@example(3, Fraction(31, 30), 40)
 def test_single_sum_prefix_is_the_scalar(k, q, n):
     terms = a_single_sum_terms(k, q, n)
     scalar = [a_single_sum(k, q, m) for m in range(n)]
@@ -567,18 +584,17 @@ def test_single_sum_prefix_is_the_scalar(k, q, n):
 
 
 # b's defining sum by prefix carries each C(j+k+qi, j+k) from j to j+1,
-# exactly at integer q and over one shared denominator at q = p/d.
+# exactly at integer q and over D_b at q = p/d.
 @SETTINGS
 @given(
     st.integers(min_value=0, max_value=6),
-    st.one_of(
-        st.integers(min_value=0, max_value=6),
-        st.builds(
-            Fraction, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=4)
-        ),
-    ),
+    st.one_of(st.integers(min_value=0, max_value=6), rational_q),
     st.integers(min_value=0, max_value=30),
 )
+@example(6, Fraction(7, 8), 30)
+@example(5, Fraction(11, 9), 30)
+@example(4, Fraction(5, 12), 30)
+@example(3, Fraction(31, 30), 30)
 def test_b_prefix_is_the_scalar(k, q, n):
     terms = b_direct_terms(k, q, n)
     scalar = [b_direct(k, q, j) for j in range(n)]

@@ -131,10 +131,10 @@ def test_constructions_equal_the_seeded_builds():
         # exactly in int at q = 3
         ("3", "400", "bfile", ("--via", "single"), ()),
         # at q = 1/2 the double sum is seq's default, its kernel over one
-        # shared denominator, and the carry runs as integer falling products
-        # over one shared denominator, so this covers the Fraction branch of
-        # both.  The 300 terms take about 1.5 s; one double sum per index
-        # does not finish inside the timeout
+        # shared denominator, and the carry holds each term times
+        # 2^b gcd(b!, 2^b), so this covers the rational step of both.  The
+        # 300 terms take about 1.5 s; one double sum per index does not
+        # finish inside the timeout
         ("1/2", "300", "json", (), ("--via", "single")),
     ],
     ids=["direct-q3", "single-q3", "double-single-q1_2"],
@@ -149,18 +149,26 @@ def test_defining_sums_equal_the_other_routes(q, n_max, fmt, route, other):
 
 # a_single_sum_terms and b_direct_terms share one carry, which steps each
 # binomial of the sum from one index to the next with the tops fixed (a) or
-# rising (b): exactly in int at q = 3, and as integer falling products over
-# one shared denominator at q = 5/2 and at 2/3, a step p/d with p < d.  Each
-# (family, branch) pair is checked against the terminating series or the
-# per-index defining sum past the 40 terms the property tests reach
+# rising (b): in int at q = 3, and at q = p/d with every term an integer
+# over d^b gcd(b!, d^b), at 5/2, at 2/3 (p < d), and at 5/6 and 7/12, whose
+# d has two primes (one squared in 12), at k = 200 and 300.  Each family
+# and kind of step is checked against the terminating series, the per-index
+# defining sum or the kernel past the 40 terms the property tests reach
 PREFIXES = """
 from fractions import Fraction
+from binsum.combinatorics import alternating_binomial_sum
 from binsum.sequences import a_single_sum, a_single_sum_terms, b_direct, b_direct_terms, b_hypergeom
 assert b_direct_terms(5, 3, 150) == [b_hypergeom(5, 3, j) for j in range(150)]
 assert b_direct_terms(5, Fraction(5, 2), 60) == [b_direct(5, Fraction(5, 2), j) for j in range(60)]
 assert b_direct_terms(5, Fraction(2, 3), 60) == [b_direct(5, Fraction(2, 3), j) for j in range(60)]
+q = Fraction(5, 6)
+assert b_direct_terms(200, q, 201)[198:] == [
+    alternating_binomial_sum(j, j + 200, q, j + 200) for j in range(198, 201)
+]
 assert a_single_sum_terms(5, 3, 150) == [a_single_sum(5, 3, m) for m in range(150)]
 assert a_single_sum_terms(5, Fraction(2, 3), 60) == [a_single_sum(5, Fraction(2, 3), m) for m in range(60)]
+q = Fraction(7, 12)
+assert a_single_sum_terms(300, q, 301)[300] == a_single_sum(300, q, 300)
 """
 
 

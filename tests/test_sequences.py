@@ -122,9 +122,12 @@ def test_a_series_route_agrees_past_the_verify_grid():
                 assert a_hypergeom(k, q, m) == a_single_sum(k, q, m), (k, q, m)
 
 
-# The integer carry holds each term C(m, i) C(t, k+m) whole and steps it by
-# m (t-stepped factor) / ((m-i)(k+m)); the property tests stop at 40 terms,
-# so both rises are checked here against the literal sum out to 60
+# The carry holds each term C(m, i) C(t, k+m) whole, times D = d^(k+m)
+# gcd((k+m)!, d^(k+m)) at a step p/d, and steps it by m (t-stepped factor) /
+# ((m-i) unit), unit being k+m with d's primes divided out; the property
+# tests stop at 40 terms, so both rises are checked here against the literal
+# sum out to 60 at integer steps, and out to 40 at steps whose d has one,
+# two or three primes, some of them repeated
 @pytest.mark.parametrize("rise", [0, 1])
 def test_integer_carry_is_the_literal_sum(rise):
     n = 60
@@ -140,6 +143,22 @@ def test_integer_carry_is_the_literal_sum(rise):
             sums = _carried_sums(k, step, n, rise)
             assert sums == literal, (k, step)
             assert all(type(s) is int for s in sums)
+    n = 40
+    for d in (2, 3, 4, 6, 8, 9, 12, 30):
+        for step in (Fraction(1, d), Fraction(2 * d + 1, d)):
+            for k in (0, 1, 3, 6):
+                literal = [
+                    sum(
+                        (-1) ** i * math.comb(m, i) * binomial(k + rise * m + step * i, k + m)
+                        for i in range(m + 1)
+                    )
+                    for m in range(n)
+                ]
+                sums = _carried_sums(k, step, n, rise)
+                assert sums == literal, (k, step)
+                assert [type(s) for s in sums] == [
+                    int if s.denominator == 1 else Fraction for s in literal
+                ], (k, step)
 
 
 def test_b_k0_is_alternating_geometric():
