@@ -238,6 +238,7 @@ class CFiniteRecurrence:
         Integral values come back as int.  An all-int recurrence makes only
         ints, so only one with a Fraction coefficient or seed is normalized.
         """
+        _check_nonnegative("n", n)
         out = list(self.initial_terms[:n])
         while len(out) < n:
             position = len(out)

@@ -37,7 +37,8 @@ _ID_PATTERN = re.compile(r"\AA[0-9]{6,7}\Z")
 _BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
 # seconds a b-file fetch may wait on the network
 _FETCH_TIMEOUT = 10.0
-_INT_FIELD = re.compile(r"[+-]?\d+")
+# ASCII digits only: int() also reads "1_000" and non-ASCII digits
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 # agreeing terms a comparison needs before it counts as a match
 _MIN_OVERLAP = 20
@@ -68,22 +69,21 @@ def parse_bfile(text: str) -> dict[int, int]:
                 f"line {line_number}: expected 'index value', got {raw!r}",
                 line_number=line_number,
             )
+        if not all(_INT_FIELD.fullmatch(field) for field in fields):
+            raise BFileParseError(
+                f"line {line_number}: non-integer field in {raw!r}", line_number=line_number
+            )
         try:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
-            problem = f"non-integer field in {raw!r}"
-            refetch_helps = True
-            if all(_INT_FIELD.fullmatch(field) for field in fields):
-                # well-formed, so int() refused a term for its length
-                digits = max(len(field.lstrip("+-")) for field in fields)
-                problem = (
-                    f"a {digits}-digit term exceeds this Python's int conversion limit of "
-                    f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits()); "
-                    "run with PYTHONINTMAXSTRDIGITS=0 to read it"
-                )
-                refetch_helps = False
+            # well-formed, so int() refused a term for its length
+            digits = max(len(field.lstrip("+-")) for field in fields)
             raise BFileParseError(
-                f"line {line_number}: {problem}", line_number, refetch_helps
+                f"line {line_number}: a {digits}-digit term exceeds this Python's int "
+                f"conversion limit of {sys.get_int_max_str_digits()} digits "
+                "(sys.get_int_max_str_digits()); run with PYTHONINTMAXSTRDIGITS=0 to read it",
+                line_number,
+                refetch_helps=False,
             ) from None
         if index in terms:
             raise BFileParseError(

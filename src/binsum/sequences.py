@@ -98,13 +98,10 @@ def a_double_sum_terms(k: int, q: Scalar, n: int) -> list:
     """a(k, q; 0..n-1) by the defining double sum.  Rational q is allowed.
 
     The inner sum over i does not depend on m.  It is (-1)^j times
-    b(k, q; j), so the kernel evaluates b once per j for the whole prefix
-    and each outer sum is the m-th difference of that list.
+    b(k, q; j) by definition, so b's carried prefix gives it for every j at
+    once and each outer sum is the m-th difference of that list.
     """
-    _check_nonnegative("k", k)
-    _check_nonnegative("n", n)
-    q = _check_q(q)
-    return _binomial_transform([alternating_binomial_sum(j, j + k, q, j + k) for j in range(n)])
+    return _binomial_transform(b_direct_terms(k, q, n))
 
 
 def a_single_sum(k: int, q: Scalar, m: int) -> Scalar:
@@ -182,22 +179,19 @@ def a_single_sum_terms(k: int, q: Scalar, n: int) -> list:
 def b_direct(k: int, q: Scalar, j: int) -> Scalar:
     """The defining alternating sum for b(k, q; j).  Rational q is allowed.
 
-    Each term is one binomial(j + k + q*i, j + k) call.  At q = p/d the
-    top is the Fraction ((j+k)d + pi)/d, whose binomial's reduced
-    denominator divides D = d^(j+k) (j+k)!, so the terms are summed in int
-    over D and one Fraction is built at the end (Petkovsek, Wilf &
+    At integer q it is one call of the alternating-sum kernel.  At q = p/d
+    each term is one binomial(j + k + q*i, j + k) call, and the reduced
+    denominator of each divides D = d^(j+k) (j+k)!, so the terms are summed
+    in int over D and one Fraction is built at the end (Petkovsek, Wilf &
     Zeilberger, A = B, ch. 3).
     """
     _check_nonnegative("k", k)
     _check_nonnegative("j", j)
     q = _check_q(q)
     bottom = j + k
-    total = 0
     if type(q) is int:
-        for i in range(j + 1):
-            term = binomial(j, i) * binomial(bottom + q * i, bottom)
-            total += -term if i & 1 else term
-        return total
+        return alternating_binomial_sum(j, bottom, q, bottom)
+    total = 0
     p, d = q.numerator, q.denominator
     denominator = d**bottom * math.factorial(bottom)
     for i in range(j + 1):

@@ -348,6 +348,15 @@ class TestRecurrence:
         rec = recurrence_from_gf(A_gf(2, 3))
         assert rec.terms(20) == [a_double_sum(2, 3, m) for m in range(20)]
 
+    def test_terms_refuses_a_negative_or_non_integer_count(self):
+        # a slice to -1 would drop the last seed, and range(2.5) a TypeError
+        rec = recurrence_from_gf(paper_gf("a", 2, 3))
+        assert rec.terms(0) == []
+        for n in (-1, 2.5):
+            with pytest.raises(ValueError) as info:
+                rec.terms(n)
+            assert str(info.value) == f"n must be a nonnegative integer, got {n}"
+
     def test_render(self):
         rec = recurrence_from_gf(RationalGF([1], Polynomial([1, -3]) ** 2))
         assert rec.render() == "a(n) = 6*a(n-1) - 9*a(n-2)"

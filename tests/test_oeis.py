@@ -54,6 +54,16 @@ class TestParseBfile:
             parse_bfile("0 1\n1 x\n")
         assert info.value.line_number == 2
 
+    # int() also reads an underscore and any Unicode digit; a b-file field
+    # is ASCII digits only
+    @pytest.mark.parametrize("field", ["1_000", "\uff12", "\u0663"])
+    def test_non_ascii_or_underscored_integer(self, field):
+        with pytest.raises(BFileParseError) as info:
+            parse_bfile(f"0 1\n1 {field}\n")
+        assert info.value.line_number == 2
+        assert str(info.value) == f"line 2: non-integer field in {'1 ' + field!r}"
+        assert info.value.refetch_helps
+
     def test_duplicate_index(self):
         with pytest.raises(BFileParseError) as info:
             parse_bfile("0 1\n0 2\n")
@@ -152,6 +162,17 @@ class TestFetch:
             (1, 0),
             (2, 1),
         ]
+
+    @pytest.mark.parametrize("field", ["1_000", "\uff12", "\u0663"])
+    def test_non_ascii_integer_in_cache_says_re_fetch(self, tmp_path, field):
+        path = tmp_path / "b027471.txt"
+        path.write_text(f"0 1\n1 {field}\n", encoding="utf-8")
+        with pytest.raises(BFileParseError) as info:
+            fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+        assert str(info.value) == (
+            f"corrupt cache file {path}: line 2: non-integer field in "
+            f"{'1 ' + field!r}; delete it to re-fetch"
+        )
 
     def test_non_utf8_cache_names_the_file(self, tmp_path):
         path = tmp_path / "b027471.txt"

@@ -124,20 +124,21 @@ def test_constructions_equal_the_seeded_builds():
 @pytest.mark.parametrize(
     "q, n_max, fmt, route, other",
     [
-        # --via direct is the literal double sum; each inner sum goes through
-        # the alternating-sum kernel in math.comb, once for the whole prefix
+        # --via direct is the literal double sum; its inner sums are b's
+        # carried prefix, and each outer sum is one difference of it
         ("3", "120", "bfile", ("--via", "direct"), ()),
         # --via single runs the carry both defining single sums share,
         # exactly in int at q = 3
         ("3", "400", "bfile", ("--via", "single"), ()),
-        # at q = 1/2 the double sum is seq's default, its kernel over one
-        # shared denominator, and the carry holds each term times
-        # 2^b gcd(b!, 2^b), so this covers the rational step of both.  The
-        # 300 terms take about 1.5 s; one double sum per index does not
+        # at q = 1/2 the double sum is seq's default: it reads b's carry and
+        # --via single reads a's, each term held times 2^b gcd(b!, 2^b), so
+        # this covers the rational step of both.  300 terms take about
+        # 0.12 s and 1000 terms about 1 s; one double sum per index does not
         # finish inside the timeout
         ("1/2", "300", "json", (), ("--via", "single")),
+        ("1/2", "1000", "json", (), ("--via", "single")),
     ],
-    ids=["direct-q3", "single-q3", "double-single-q1_2"],
+    ids=["direct-q3", "single-q3", "double-single-q1_2", "double-single-q1_2-n1000"],
 )
 def test_defining_sums_equal_the_other_routes(q, n_max, fmt, route, other):
     args = (

@@ -131,8 +131,9 @@ class TestFailureText:
         assert a_case.actual == "m=2: alternating-b gave 28, double sum gave 27"
 
     def test_a_agreement_reads_b_direct(self, monkeypatch):
-        # the b-transform prefix sums b_direct's values, not the kernel's, so
-        # one wrong b term fails every a-agreement case at that q from there on
+        # the b-transform prefix sums b_direct's point values, not the carried
+        # prefix the double sum reads, so one wrong b term fails every
+        # a-agreement case at that q from there on
         import binsum.sequences as sequences_mod
 
         real = sequences_mod.b_direct
@@ -148,6 +149,58 @@ class TestFailureText:
             assert cases[f"formulas/a-agreement/k{k}-q3"].actual == (
                 f"m=20: alternating-b gave {want + 1}, double sum gave {want}"
             )
+
+    def test_double_sum_reads_b_prefix(self, monkeypatch):
+        # the double sum's inner sums are b's carried prefix, so one wrong
+        # term there fails every a-agreement case and every a recurrence
+        # fidelity case, whose evaluator is the double sum, and nothing else
+        import binsum.sequences as sequences_mod
+
+        real = sequences_mod.b_direct_terms
+        monkeypatch.setattr(
+            sequences_mod,
+            "b_direct_terms",
+            lambda k, q, n: [v + (j == 20) for j, v in enumerate(real(k, q, n))],
+        )
+        cases = {**cases_by_id(run_suite("formulas")), **cases_by_id(run_suite("tables"))}
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == sorted(
+            f"{group}k{k}-q{q}"
+            for group in ("formulas/a-agreement/", "tables/recurrence-fidelity/a-")
+            for k in range(6)
+            for q in range(6)
+        )
+        for k in range(6):
+            for q in range(6):
+                want = a_single_sum(k, q, 20)
+                assert cases[f"formulas/a-agreement/k{k}-q{q}"].actual == (
+                    f"m=20: single-sum gave {want}, double sum gave {want + 1}"
+                )
+
+    def test_b_direct_at_integer_q_is_the_kernel(self, monkeypatch):
+        # b_direct's integer branch is one kernel call, and the double sum
+        # does not call the kernel, so a kernel slip at b's arguments shows
+        # as the alternating-b route against the double sum
+        import binsum.sequences as sequences_mod
+
+        real = sequences_mod.alternating_binomial_sum
+        monkeypatch.setattr(
+            sequences_mod,
+            "alternating_binomial_sum",
+            lambda n, offset, step, bottom: real(n, offset, step, bottom)
+            + (n == 20 and offset == bottom and type(step) is int),
+        )
+        cases = cases_by_id(run_suite("formulas"))
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == sorted(
+            f"formulas/a-agreement/k{k}-q{q}" for k in range(6) for q in range(6)
+        )
+        for k in range(6):
+            for q in range(6):
+                want = a_single_sum(k, q, 20)
+                assert cases[f"formulas/a-agreement/k{k}-q{q}"].actual == (
+                    f"m=20: alternating-b gave {want + 1}, double sum gave {want}"
+                )
 
     def test_wrong_b_prefix_fails_every_b_check(self, monkeypatch):
         # b-agreement, b-closed-q1, the b table rows and b recurrence fidelity
@@ -265,9 +318,9 @@ class TestFailureText:
             )
 
     def test_kernel_wrong_only_at_rational_step_fails(self, monkeypatch):
-        # a_double_sum_terms and a_single_sum share the alternating-sum kernel,
-        # and every integer-q case runs its int branch, so a slip in the
-        # Fraction branch alone must still fail both rational-q cases
+        # a_single_sum is a call of the alternating-sum kernel, and every
+        # integer-q case runs its int branch, so a slip in the Fraction
+        # branch alone must still fail both rational-q cases
         import binsum.sequences as sequences_mod
 
         real = sequences_mod.alternating_binomial_sum
