@@ -43,12 +43,6 @@ from .genfunc import (
     recurrence_terms,
 )
 from .hypergeometric import hyp_terminating, termination_order
-from .oeis import (
-    OeisMapping,
-    compare_terms,
-    fetch_bfile,
-    parse_bfile,
-)
 from .polynomials import Polynomial, RationalGF
 from .sequences import (
     a_double_sum,
@@ -67,9 +61,29 @@ from .sequences import (
     power_via_stirling,
     zero_sum_identity,
 )
-from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"
+
+# the b-file reader and the verification suites load on first use (PEP 562),
+# so importing the package for seq, gf or recur does not compile them; a name
+# is looked up afresh each time, so a patched module attribute is what is seen
+_LAZY = {
+    "OeisMapping": "oeis",
+    "compare_terms": "oeis",
+    "fetch_bfile": "oeis",
+    "parse_bfile": "oeis",
+    "VerificationReport": "verify",
+    "run_suite": "verify",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "A_gf",

@@ -22,10 +22,9 @@ integers, and reads off C-finite recurrences from denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import (
     Scalar,
@@ -218,8 +217,7 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
     return candidate
 
 
-@dataclass(frozen=True)
-class CFiniteRecurrence:
+class CFiniteRecurrence(NamedTuple):
     """Constant-coefficient linear recurrence read off a rational GF.
 
     a(n) = sum_{i=1..order} coefficients[i-1] * a(n-i) holds for every

@@ -357,6 +357,20 @@ class TestRecurrence:
                 rec.terms(n)
             assert str(info.value) == f"n must be a nonnegative integer, got {n}"
 
+    def test_an_immutable_value(self):
+        # built twice it compares and hashes equal, its repr names every
+        # field, and no field can be reassigned
+        rec = recurrence_from_gf(RationalGF([1], Polynomial([1, -3]) ** 2))
+        again = recurrence_from_gf(RationalGF([1], Polynomial([1, -3]) ** 2))
+        assert rec == again and hash(rec) == hash(again)
+        assert rec != recurrence_from_gf(RationalGF([1], [1, -3]))
+        assert repr(rec) == (
+            "CFiniteRecurrence(order=2, coefficients=(6, -9), initial_terms=(1, 6), offset=0)"
+        )
+        for field in ("order", "coefficients", "initial_terms", "offset"):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+
     def test_render(self):
         rec = recurrence_from_gf(RationalGF([1], Polynomial([1, -3]) ** 2))
         assert rec.render() == "a(n) = 6*a(n-1) - 9*a(n-2)"

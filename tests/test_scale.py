@@ -175,3 +175,52 @@ assert a_single_sum_terms(300, q, 301)[300] == a_single_sum(300, q, 300)
 
 def test_single_sum_prefixes_equal_the_scalar_sums():
     fresh_python("-S", "-c", PREFIXES, timeout=30)
+
+
+# a fresh interpreter without a bytecode cache compiles every module it
+# imports, so seq, gf and recur import only the layers they run: the release
+# gate (verify, its tables, oeis) and dataclasses load when verify first runs
+BUILD_PATH_IMPORTS = """
+import contextlib, io, sys
+from binsum import cli
+GATE = ("binsum.verify", "binsum.oeis", "binsum.tables", "dataclasses")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["seq", "--family", "a", "--k", "2", "--q", "3"]) == 0
+    assert cli.main(["gf", "--family", "B", "--k", "1", "--q", "1/2", "--reconstruct"]) == 0
+    assert cli.main(["recur", "--family", "C", "--J", "2", "--q", "3"]) == 0
+loaded = [name for name in GATE if name in sys.modules]
+assert loaded == [], loaded
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "oeis", "--offline"]) == 0
+assert "binsum.verify" in sys.modules and "binsum.oeis" in sys.modules
+"""
+
+
+def test_build_path_leaves_the_release_gate_unloaded(monkeypatch, tmp_path):
+    # an empty cache: the offline suite reads only the bundled fixtures
+    monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+    fresh_python("-S", "-c", BUILD_PATH_IMPORTS, timeout=30)
+
+
+# every public name resolves to its defining module's object, the six from
+# oeis and verify on first access, and an unknown name is still refused
+PUBLIC_NAMES = """
+import importlib, sys
+import binsum
+assert "binsum.verify" not in sys.modules and "binsum.oeis" not in sys.modules
+for name in binsum.__all__:
+    value = getattr(binsum, name)
+    assert value is getattr(importlib.import_module(value.__module__), name), name
+assert binsum.run_suite is sys.modules["binsum.verify"].run_suite
+assert binsum.fetch_bfile is sys.modules["binsum.oeis"].fetch_bfile
+namespace = {}
+exec("from binsum import *", namespace)
+del namespace["__builtins__"]
+assert len(namespace) == len(binsum.__all__) == 53
+assert all(namespace[name] is getattr(binsum, name) for name in binsum.__all__)
+assert not hasattr(binsum, "no_such_name")
+"""
+
+
+def test_public_names_resolve_to_their_modules():
+    fresh_python("-S", "-c", PUBLIC_NAMES, timeout=30)
