@@ -30,11 +30,11 @@ from .polynomials import RationalGF
 from .sequences import (
     _per_index,
     a_double_sum_terms,
-    a_hypergeom,
+    a_hypergeom_terms,
     a_single_sum_terms,
     b_direct,
-    b_hypergeom,
-    c_direct,
+    b_hypergeom_terms,
+    c_direct_terms,
 )
 
 EXIT_PASS = 0
@@ -218,10 +218,10 @@ def _seq_values(args) -> list:
     routes = {
         ("a", "direct"): a_double_sum_terms,
         ("a", "single"): a_single_sum_terms,
-        ("a", "series"): _per_index(a_hypergeom),
+        ("a", "series"): a_hypergeom_terms,
         ("b", "direct"): _per_index(b_direct),
-        ("b", "series"): _per_index(b_hypergeom),
-        ("c", "direct"): _per_index(c_direct),
+        ("b", "series"): b_hypergeom_terms,
+        ("c", "direct"): c_direct_terms,
     }
     if (family, via) not in routes:
         vias = [route for f, route in routes if f == family]

@@ -42,11 +42,10 @@ from .polynomials import Polynomial, RationalGF, render_terms, substitute_cleare
 from .sequences import (
     _check_nonnegative,
     _check_q,
-    _per_index,
     _require_integer_q,
     a_single_sum_terms,
     b_direct_terms,
-    c_direct,
+    c_direct_terms,
 )
 
 
@@ -270,10 +269,10 @@ def paper_seed(family: str, q: Scalar) -> tuple[Callable[[int, Scalar, int], lis
     integer q >= 0, and for fixed k and index each term is a polynomial in
     q (see a_single_sum), so it holds at every rational q >= 0 too.
     """
-    # built per call, so the prefixes are the ones the module holds now;
-    # c's terms C(J + q i, J) share no sum to carry, so its prefix is per index
-    c_prefix = _per_index(c_direct)
-    seeds = {"a": (a_single_sum_terms, q + 1), "b": (b_direct_terms, -q), "c": (c_prefix, 1)}
+    # built per call, so the prefixes are the ones the module holds now; c's
+    # terms C(J + q i, J) share no sum to carry, so its prefix checks its
+    # arguments once and reads each term from math.comb at integer q
+    seeds = {"a": (a_single_sum_terms, q + 1), "b": (b_direct_terms, -q), "c": (c_direct_terms, 1)}
     if family not in seeds:
         raise ValueError(f"family must be 'a', 'b' or 'c', got {family!r}")
     return seeds[family]

@@ -13,6 +13,10 @@ With every parameter written p/d, each factor a + i - 1 is the integer
 p + (i-1)*d over d, so the loop runs on integers only: the d's fold into one
 integer scale on each side, and the partial sums share one integer
 denominator until a single Fraction is built at the end.
+
+That loop is _series_sum, over (p, d) pairs.  hyp_terminating validates its
+parameters and calls it; the sequence prefixes write their parameters as
+pairs once per index and call it directly.
 """
 
 from __future__ import annotations
@@ -57,18 +61,34 @@ def hyp_terminating(
     """
     dens = [_refuse_float("a series parameter", b) for b in denominator_params]
     nums = list(numerator_params)
-    # termination_order refuses a bad numerator parameter
-    order = termination_order(nums)
+    # termination_order refuses a bad numerator parameter and a series that
+    # does not terminate
+    termination_order(nums)
+    total, scale = _series_sum(
+        [(a.numerator, a.denominator) for a in nums],
+        [(b.numerator, b.denominator) for b in dens],
+    )
+    return normalize_scalar(Fraction(total, scale))
+
+
+def _series_sum(nums: Sequence[tuple], dens: Sequence[tuple]) -> tuple:
+    """(total, scale) with total / scale the terminating series at unit
+    argument whose parameters are the (p, d) pairs p/d, d > 0.
+
+    A pair need not be in lowest terms, so p/d is a nonpositive integer when
+    p <= 0 and d divides p.  Some numerator pair must be one.
+    """
+    order = max(-p // d for p, d in nums if p <= 0 and p % d == 0)
     pole = order + 1
-    for b in dens:
-        if b.denominator == 1 and b.numerator <= 0:
-            pole = min(pole, 1 - b.numerator)
+    for p, d in dens:
+        if p <= 0 and p % d == 0:
+            pole = min(pole, 1 - p // d)
 
     # factor i of a = p/d is (p + (i-1)*d)/d = ((p-d) + i*d)/d
-    num_steps = [(a.numerator - a.denominator, a.denominator) for a in nums]
-    den_steps = [(b.numerator - b.denominator, b.denominator) for b in dens]
-    num_scale = math.prod(b.denominator for b in dens)
-    den_scale = math.prod(a.denominator for a in nums)
+    num_steps = [(p - d, d) for p, d in nums]
+    den_steps = [(p - d, d) for p, d in dens]
+    num_scale = math.prod(d for _, d in dens)
+    den_scale = math.prod(d for _, d in nums)
     # invariant: t_i = term / scale and the partial sum is total / scale
     term = total = scale = 1
     for i in range(1, min(order, pole - 1) + 1):
@@ -83,4 +103,4 @@ def hyp_terminating(
         term *= top
         total = total * bottom + term
         scale *= bottom
-    return normalize_scalar(Fraction(total, scale))
+    return total, scale

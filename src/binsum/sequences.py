@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul
 
 from .combinatorics import (
     Scalar,
@@ -28,7 +30,7 @@ from .combinatorics import (
     stirling2,
 )
 from .errors import UnsupportedParameterError
-from .hypergeometric import hyp_terminating
+from .hypergeometric import _series_sum, hyp_terminating
 
 
 def _check_nonnegative(name: str, value: int) -> int:
@@ -155,7 +157,9 @@ def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
             prime_to_d *= unit
             denominator *= d * (bottom // unit)
             lead = (bottom if rise else 1 - m) * d
-            columns = [c * m * (lead + p * i) // ((m - i) * unit) for i, c in enumerate(columns)]
+            # column i gains m (lead + p*i) over (m-i) unit; p = 0 only for b at q = 0
+            gains = range(m * lead, m * (lead + p * m), m * p) if p else repeat(m * lead, m)
+            columns = list(map(floordiv, map(mul, columns, gains), range(m * unit, 0, -unit)))
         top = (k + rise * m) * d + p * m
         if d == 1:
             columns.append(math.comb(top, bottom))
@@ -239,6 +243,19 @@ def c_direct(J: int, q: Scalar, i: int) -> Scalar:
     return binomial(J + q * i, J)
 
 
+def c_direct_terms(J: int, q: Scalar, n: int) -> list:
+    """c(J, q; 0..n-1), c_direct's checks made once.  At integer q the tops
+    J + q*i step by q, so each term is one math.comb; at rational q each is
+    one binomial call."""
+    _check_nonnegative("J", J)
+    q = _check_q(q)
+    _check_nonnegative("n", n)
+    if type(q) is not int:
+        return [binomial(J + q * i, J) for i in range(n)]
+    tops = range(J, J + q * n, q) if q else repeat(J, n)
+    return list(map(math.comb, tops, repeat(J, n)))
+
+
 def a_hypergeom(k: int, q: int, m: int) -> Scalar:
     """a(k, q; m) through its terminating (q+2)F(q+1) form; integer q only.
 
@@ -258,6 +275,25 @@ def a_hypergeom(k: int, q: int, m: int) -> Scalar:
     return normalize_scalar(front * hyp_terminating(numerator_params, denominator_params))
 
 
+def a_hypergeom_terms(k: int, q: int, n: int) -> list:
+    """a(k, q; 0..n-1) by a_hypergeom's series, its checks made once and its
+    parameters written as (p, d) pairs over q+1 for _series_sum."""
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _require_integer_q(q, "the terminating-series route")
+    r = q + 1
+    terms = []
+    for m in range(n):
+        base = (1 - m) * r
+        nums = [(-m, 1)] + [(base - (l + 1 - m), r) for l in range(r)]
+        dens = [(base - (k + 1 + l), r) for l in range(r)]
+        total, scale = _series_sum(nums, dens)
+        total *= math.comb(m * r + k, k + m)
+        quotient, rest = divmod(total, scale)
+        terms.append(Fraction(total, scale) if rest else quotient)
+    return terms
+
+
 def b_hypergeom(k: int, q: int, j: int) -> Scalar:
     """b(k, q; j) through its terminating (q+1)Fq form; integer q >= 1 only.
 
@@ -274,6 +310,25 @@ def b_hypergeom(k: int, q: int, j: int) -> Scalar:
     numerator_params = [-j] + [Fraction(k + j + l, q) for l in range(1, q + 1)]
     denominator_params = [Fraction(l, q) for l in range(1, q + 1)]
     return hyp_terminating(numerator_params, denominator_params)
+
+
+def b_hypergeom_terms(k: int, q: int, n: int) -> list:
+    """b(k, q; 0..n-1) by b_hypergeom's series, its checks made once and its
+    parameters written as (p, d) pairs over q for _series_sum."""
+    _check_nonnegative("k", k)
+    _check_nonnegative("n", n)
+    q = _require_integer_q(q, "the terminating-series route")
+    if q < 1:
+        raise UnsupportedParameterError(
+            "the terminating-series route for family b requires q >= 1"
+        )
+    dens = [(l, q) for l in range(1, q + 1)]
+    terms = []
+    for j in range(n):
+        total, scale = _series_sum([(-j, 1)] + [(k + j + l, q) for l in range(1, q + 1)], dens)
+        quotient, rest = divmod(total, scale)
+        terms.append(Fraction(total, scale) if rest else quotient)
+    return terms
 
 
 def zero_sum_identity(j: int, q: int) -> int:

@@ -201,10 +201,10 @@ class TestSeq:
         [ArithmeticError("pole at index 3"), ZeroDivisionError("division by zero")],
     )
     def test_arithmetic_error_is_one_line(self, capsys, monkeypatch, error):
-        def failing(k, q, j):
+        def failing(k, q, n):
             raise error
 
-        monkeypatch.setattr(cli, "b_hypergeom", failing)
+        monkeypatch.setattr(cli, "b_hypergeom_terms", failing)
         code, out, err = run(
             capsys, "seq", "--family", "b", "--k", "1", "--q", "2", "--via", "series"
         )

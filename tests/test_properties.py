@@ -35,6 +35,7 @@ from binsum.genfunc import (  # noqa: E402
     recurrence_from_gf,
     recurrence_terms,
 )
+from binsum.hypergeometric import _series_sum, hyp_terminating  # noqa: E402
 from binsum.polynomials import (  # noqa: E402
     Polynomial,
     RationalGF,
@@ -47,11 +48,16 @@ from binsum.sequences import (  # noqa: E402
     a_double_sum,
     a_double_sum_terms,
     a_from_b_terms,
+    a_hypergeom,
+    a_hypergeom_terms,
     a_single_sum,
     a_single_sum_terms,
     b_direct,
     b_direct_terms,
+    b_hypergeom,
+    b_hypergeom_terms,
     c_direct,
+    c_direct_terms,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -600,6 +606,78 @@ def test_b_prefix_is_the_scalar(k, q, n):
     scalar = [b_direct(k, q, j) for j in range(n)]
     assert terms == scalar
     assert [type(t) for t in terms] == [type(t) for t in scalar]
+
+
+# The series prefixes and c's prefix check their arguments once and write
+# each index's parameters as (p, d) pairs; the point forms build Fractions
+# and call hyp_terminating (or binomial), so they are the prefixes' oracle.
+@SETTINGS
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=30),
+)
+@example(3, 2, 12)
+def test_a_series_prefix_is_the_scalar(k, q, n):
+    terms = a_hypergeom_terms(k, q, n)
+    scalar = [a_hypergeom(k, q, m) for m in range(n)]
+    assert terms == scalar
+    assert [type(t) for t in terms] == [type(t) for t in scalar]
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=30),
+)
+def test_b_series_prefix_is_the_scalar(k, q, n):
+    terms = b_hypergeom_terms(k, q, n)
+    scalar = [b_hypergeom(k, q, j) for j in range(n)]
+    assert terms == scalar
+    assert [type(t) for t in terms] == [type(t) for t in scalar]
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.one_of(st.integers(min_value=0, max_value=5), rational_q),
+    st.integers(min_value=0, max_value=30),
+)
+@example(4, 0, 30)
+@example(3, Fraction(0), 30)
+@example(5, Fraction(7, 3), 30)
+def test_c_prefix_is_the_scalar(J, q, n):
+    terms = c_direct_terms(J, q, n)
+    scalar = [c_direct(J, q, i) for i in range(n)]
+    assert terms == scalar
+    assert [type(t) for t in terms] == [type(t) for t in scalar]
+
+
+# The kernel reads p/d from a pair (p, d) that need not be in lowest terms,
+# so pairs scaled by t sum to what hyp_terminating gives on the reduced
+# Fractions, poles and termination included.
+series_param = st.builds(
+    Fraction, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=4)
+)
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.lists(series_param, max_size=2),
+    st.lists(series_param, max_size=3),
+    st.integers(min_value=2, max_value=5),
+)
+@example(3, [], [Fraction(-1)], 2)
+@example(4, [Fraction(-7, 2)], [Fraction(-3, 2)], 3)
+def test_series_kernel_reads_unreduced_pairs(order, nums, dens, t):
+    nums = [Fraction(-order)] + nums
+    total, scale = _series_sum(
+        [(t * a.numerator, t * a.denominator) for a in nums],
+        [(t * b.numerator, t * b.denominator) for b in dens],
+    )
+    assert Fraction(total, scale) == hyp_terminating(nums, dens)
 
 
 @SETTINGS

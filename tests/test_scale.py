@@ -137,8 +137,14 @@ def test_constructions_equal_the_seeded_builds():
         # finish inside the timeout
         ("1/2", "300", "json", (), ("--via", "single")),
         ("1/2", "1000", "json", (), ("--via", "single")),
+        # --via series sums a (q+2)F(q+1) per index from (p, d) pairs, the
+        # single sum carries its columns: 200 terms, past seq-bfile's 40
+        ("3", "200", "bfile", ("--via", "series"), ("--via", "single")),
     ],
-    ids=["direct-q3", "single-q3", "double-single-q1_2", "double-single-q1_2-n1000"],
+    ids=[
+        "direct-q3", "single-q3", "double-single-q1_2", "double-single-q1_2-n1000",
+        "series-single-q3",
+    ],
 )
 def test_defining_sums_equal_the_other_routes(q, n_max, fmt, route, other):
     args = (
@@ -154,12 +160,19 @@ def test_defining_sums_equal_the_other_routes(q, n_max, fmt, route, other):
 # over d^b gcd(b!, d^b), at 5/2, at 2/3 (p < d), and at 5/6 and 7/12, whose
 # d has two primes (one squared in 12), at k = 200 and 300.  Each family
 # and kind of step is checked against the terminating series, the per-index
-# defining sum or the kernel past the 40 terms the property tests reach
+# defining sum or the kernel past the 40 terms the property tests reach.
+# b's series prefix runs 200 terms against the carry, and c's prefix 5000
+# stepped tops against c_direct per index
 PREFIXES = """
 from fractions import Fraction
 from binsum.combinatorics import alternating_binomial_sum
-from binsum.sequences import a_single_sum, a_single_sum_terms, b_direct, b_direct_terms, b_hypergeom
+from binsum.sequences import (
+    a_single_sum, a_single_sum_terms, b_direct, b_direct_terms, b_hypergeom, b_hypergeom_terms,
+    c_direct, c_direct_terms,
+)
 assert b_direct_terms(5, 3, 150) == [b_hypergeom(5, 3, j) for j in range(150)]
+assert b_hypergeom_terms(5, 3, 200) == b_direct_terms(5, 3, 200)
+assert c_direct_terms(20, 5, 5000) == [c_direct(20, 5, i) for i in range(5000)]
 assert b_direct_terms(5, Fraction(5, 2), 60) == [b_direct(5, Fraction(5, 2), j) for j in range(60)]
 assert b_direct_terms(5, Fraction(2, 3), 60) == [b_direct(5, Fraction(2, 3), j) for j in range(60)]
 q = Fraction(5, 6)

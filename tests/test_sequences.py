@@ -16,15 +16,18 @@ from binsum.sequences import (
     a_from_b,
     a_from_b_terms,
     a_hypergeom,
+    a_hypergeom_terms,
     a_single_sum,
     a_single_sum_terms,
     as_integer,
     b_direct,
     b_direct_terms,
     b_hypergeom,
+    b_hypergeom_terms,
     b_k1_closed,
     beta_integral,
     c_direct,
+    c_direct_terms,
     power_via_stirling,
     zero_sum_identity,
 )
@@ -297,21 +300,40 @@ class TestDomainErrors:
             (a_from_b_terms, a_from_b),
             (a_single_sum_terms, a_single_sum),
             (b_direct_terms, b_direct),
+            (a_hypergeom_terms, a_hypergeom),
+            (b_hypergeom_terms, b_hypergeom),
+            (c_direct_terms, c_direct),
         ],
     )
     def test_prefix_takes_the_scalar_errors(self, terms, scalar):
         assert terms(3, 2, 0) == []
         with pytest.raises(ValueError, match="^n must be a nonnegative integer, got -1$"):
             terms(1, 2, -1)
-        for k, q in ((-1, 2), (1, Fraction(-1, 2)), (1, 0.5)):
+        for k, q in ((-1, 2), (1, Fraction(-1, 2)), (1, 0.5), (1, "2")):
             with pytest.raises(ValueError) as want:
                 scalar(k, q, 3)
             # refused before the first term, so the empty prefix is too
             for n in (0, 3):
                 with pytest.raises(ValueError) as got:
                     terms(k, q, n)
-                assert str(got.value) == str(want.value)
+                assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
                 assert "\n" not in str(got.value)
+
+    @pytest.mark.parametrize(
+        "terms, scalar, q",
+        [
+            (a_hypergeom_terms, a_hypergeom, Fraction(1, 2)),
+            (b_hypergeom_terms, b_hypergeom, Fraction(3, 2)),
+            (b_hypergeom_terms, b_hypergeom, 0),
+        ],
+    )
+    def test_series_prefix_takes_the_scalar_refusals(self, terms, scalar, q):
+        # a rational q on either series route, and q = 0 on b's
+        with pytest.raises(UnsupportedParameterError) as want:
+            scalar(1, q, 2)
+        with pytest.raises(UnsupportedParameterError) as got:
+            terms(1, q, 3)
+        assert str(got.value) == str(want.value)
 
     def test_hypergeometric_routes_need_integer_q(self):
         with pytest.raises(UnsupportedParameterError):
