@@ -14,9 +14,9 @@ p + (i-1)*d over d, so the loop runs on integers only: the d's fold into one
 integer scale on each side, and the partial sums share one integer
 denominator until a single Fraction is built at the end.
 
-That loop is _series_sum, over (p, d) pairs.  hyp_terminating validates its
-parameters and calls it; the sequence prefixes write their parameters as
-pairs once per index and call it directly.
+That loop is _series_sum, over (p, d) pairs.  hyp_terminating is its
+validated public entry; no route calls it, because each series family in
+sequences writes its parameters as pairs and calls _series_sum directly.
 """
 
 from __future__ import annotations

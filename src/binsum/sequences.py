@@ -30,7 +30,7 @@ from .combinatorics import (
     stirling2,
 )
 from .errors import UnsupportedParameterError
-from .hypergeometric import _series_sum, hyp_terminating
+from .hypergeometric import _series_sum
 
 
 def _check_nonnegative(name: str, value: int) -> int:
@@ -256,6 +256,23 @@ def c_direct_terms(J: int, q: Scalar, n: int) -> list:
     return list(map(math.comb, tops, repeat(J, n)))
 
 
+def _a_series(k: int, q: Scalar, indices) -> list:
+    """a(k, q; m) for each m in indices by a_hypergeom's series, q checked
+    once and the parameters written as (p, d) pairs over q+1 for _series_sum."""
+    q = _require_integer_q(q, "the terminating-series route")
+    r = q + 1
+    terms = []
+    for m in indices:
+        base = (1 - m) * r
+        nums = [(-m, 1)] + [(base - (l + 1 - m), r) for l in range(r)]
+        dens = [(base - (k + 1 + l), r) for l in range(r)]
+        total, scale = _series_sum(nums, dens)
+        total *= math.comb(m * r + k, k + m)
+        quotient, rest = divmod(total, scale)
+        terms.append(Fraction(total, scale) if rest else quotient)
+    return terms
+
+
 def a_hypergeom(k: int, q: int, m: int) -> Scalar:
     """a(k, q; m) through its terminating (q+2)F(q+1) form; integer q only.
 
@@ -266,29 +283,28 @@ def a_hypergeom(k: int, q: int, m: int) -> Scalar:
     """
     _check_nonnegative("k", k)
     _check_nonnegative("m", m)
-    q = _require_integer_q(q, "the terminating-series route")
-    front = binomial(m * (q + 1) + k, k + m)
-    # 1 - x/(q+1) - m is the one Fraction ((1-m)(q+1) - x)/(q+1)
-    base = (1 - m) * (q + 1)
-    numerator_params = [-m] + [Fraction(base - (l + 1 - m), q + 1) for l in range(q + 1)]
-    denominator_params = [Fraction(base - (k + 1 + l), q + 1) for l in range(q + 1)]
-    return normalize_scalar(front * hyp_terminating(numerator_params, denominator_params))
+    return _a_series(k, q, (m,))[0]
 
 
 def a_hypergeom_terms(k: int, q: int, n: int) -> list:
-    """a(k, q; 0..n-1) by a_hypergeom's series, its checks made once and its
-    parameters written as (p, d) pairs over q+1 for _series_sum."""
+    """a(k, q; 0..n-1) by a_hypergeom's series, its checks made once."""
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
+    return _a_series(k, q, range(n))
+
+
+def _b_series(k: int, q: Scalar, indices) -> list:
+    """b(k, q; j) for each j in indices by b_hypergeom's series, q checked
+    once and the parameters written as (p, d) pairs over q for _series_sum."""
     q = _require_integer_q(q, "the terminating-series route")
-    r = q + 1
+    if q < 1:
+        raise UnsupportedParameterError(
+            "the terminating-series route for family b requires q >= 1"
+        )
+    dens = [(l, q) for l in range(1, q + 1)]
     terms = []
-    for m in range(n):
-        base = (1 - m) * r
-        nums = [(-m, 1)] + [(base - (l + 1 - m), r) for l in range(r)]
-        dens = [(base - (k + 1 + l), r) for l in range(r)]
-        total, scale = _series_sum(nums, dens)
-        total *= math.comb(m * r + k, k + m)
+    for j in indices:
+        total, scale = _series_sum([(-j, 1)] + [(k + j + l, q) for l in range(1, q + 1)], dens)
         quotient, rest = divmod(total, scale)
         terms.append(Fraction(total, scale) if rest else quotient)
     return terms
@@ -302,33 +318,14 @@ def b_hypergeom(k: int, q: int, j: int) -> Scalar:
     """
     _check_nonnegative("k", k)
     _check_nonnegative("j", j)
-    q = _require_integer_q(q, "the terminating-series route")
-    if q < 1:
-        raise UnsupportedParameterError(
-            "the terminating-series route for family b requires q >= 1"
-        )
-    numerator_params = [-j] + [Fraction(k + j + l, q) for l in range(1, q + 1)]
-    denominator_params = [Fraction(l, q) for l in range(1, q + 1)]
-    return hyp_terminating(numerator_params, denominator_params)
+    return _b_series(k, q, (j,))[0]
 
 
 def b_hypergeom_terms(k: int, q: int, n: int) -> list:
-    """b(k, q; 0..n-1) by b_hypergeom's series, its checks made once and its
-    parameters written as (p, d) pairs over q for _series_sum."""
+    """b(k, q; 0..n-1) by b_hypergeom's series, its checks made once."""
     _check_nonnegative("k", k)
     _check_nonnegative("n", n)
-    q = _require_integer_q(q, "the terminating-series route")
-    if q < 1:
-        raise UnsupportedParameterError(
-            "the terminating-series route for family b requires q >= 1"
-        )
-    dens = [(l, q) for l in range(1, q + 1)]
-    terms = []
-    for j in range(n):
-        total, scale = _series_sum([(-j, 1)] + [(k + j + l, q) for l in range(1, q + 1)], dens)
-        quotient, rest = divmod(total, scale)
-        terms.append(Fraction(total, scale) if rest else quotient)
-    return terms
+    return _b_series(k, q, range(n))
 
 
 def zero_sum_identity(j: int, q: int) -> int:

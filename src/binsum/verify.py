@@ -41,15 +41,15 @@ from .polynomials import Polynomial, RationalGF
 from .sequences import (
     a_double_sum_terms,
     a_from_b_terms,
-    a_hypergeom,
+    a_hypergeom_terms,
     a_single_sum,
     a_single_sum_terms,
     as_integer,
     b_direct_terms,
-    b_hypergeom,
+    b_hypergeom_terms,
     b_k1_closed,
     beta_integral,
-    c_direct,
+    c_direct_terms,
     power_via_stirling,
     zero_sum_identity,
 )
@@ -166,10 +166,10 @@ def _first_mismatch(message: str, rows: Iterable[tuple]) -> Optional[str]:
 
     The message is formatted with the row's where-values as positional
     fields and got and want as named ones.  Rows are read lazily, so no
-    row past the first mismatch is evaluated.  The a-agreement and
-    rational-q checks read prefixes of a, and the b checks the prefix of
-    b's defining sum; each prefix is built whole before the first
-    comparison that reads it.
+    row past the first mismatch is evaluated.  The a, b and c checks read
+    the prefixes that seq, gf and recur run, and a_single_sum, the
+    independent reference, per index; each prefix is built whole before
+    the first comparison that reads it.
     """
     for got, want, *where in rows:
         if got != want:
@@ -190,10 +190,11 @@ def _q_tag(q) -> str:
 def _check_a_agreement(k: int, q: int, m_max: int) -> Optional[str]:
     double = a_double_sum_terms(k, q, m_max + 1)
     via_b = a_from_b_terms(k, q, m_max + 1)
+    series = a_hypergeom_terms(k, q, m_max + 1)
     routes = (
         ("single-sum", lambda m: a_single_sum(k, q, m)),
         ("alternating-b", via_b.__getitem__),
-        ("terminating-series", lambda m: a_hypergeom(k, q, m)),
+        ("terminating-series", series.__getitem__),
     )
     return _first_mismatch(
         "m={0}: {1} gave {got}, double sum gave {want}",
@@ -203,9 +204,10 @@ def _check_a_agreement(k: int, q: int, m_max: int) -> Optional[str]:
 
 def _check_b_agreement(k: int, q: int, j_max: int) -> Optional[str]:
     direct = b_direct_terms(k, q, j_max + 1)
+    series = b_hypergeom_terms(k, q, j_max + 1)
     return _first_mismatch(
         "j={0}: terminating series gave {got}, direct sum gave {want}",
-        ((b_hypergeom(k, q, j), direct[j], j) for j in range(j_max + 1)),
+        ((series[j], direct[j], j) for j in range(j_max + 1)),
     )
 
 
@@ -337,9 +339,10 @@ def _check_a_row(row) -> Optional[str]:
 
 
 def _check_c_row(row) -> Optional[str]:
+    terms = c_direct_terms(row.J, row.q, len(row.terms))
     complaint = _first_mismatch(
         "i={0}: evaluator gave {got}, table lists {want}",
-        ((c_direct(row.J, row.q, i), want, i) for i, want in enumerate(row.terms)),
+        ((got, want, i) for i, (got, want) in enumerate(zip(terms, row.terms))),
     )
     if complaint is not None:
         return complaint

@@ -70,11 +70,11 @@ def test_terminating_series_on_a_random_grid_matches_sympy():
 
 
 def test_terminating_series_of_both_families_matches_sympy(monkeypatch):
-    # the parameter lists a_hypergeom and b_hypergeom build at small k, q, m
+    # the (p, d) pair lists a_hypergeom and b_hypergeom build at small k, q, m
     calls = []
-    real = sequences_mod.hyp_terminating
+    real = sequences_mod._series_sum
     monkeypatch.setattr(
-        sequences_mod, "hyp_terminating", lambda a, b: calls.append((a, b)) or real(a, b)
+        sequences_mod, "_series_sum", lambda a, b: calls.append((a, b)) or real(a, b)
     )
     for k in range(3):
         for q in range(3):
@@ -83,8 +83,12 @@ def test_terminating_series_of_both_families_matches_sympy(monkeypatch):
                 if q:
                     sequences_mod.b_hypergeom(k, q, m)
     assert len(calls) == 60
-    for nums, dens in calls:
-        assert hyp_terminating(nums, dens) == _hyper_sympy(nums, dens), (nums, dens)
+    for num_pairs, den_pairs in calls:
+        nums = [Fraction(p, d) for p, d in num_pairs]
+        dens = [Fraction(p, d) for p, d in den_pairs]
+        want = _hyper_sympy(nums, dens)
+        assert hyp_terminating(nums, dens) == want, (nums, dens)
+        assert Fraction(*real(num_pairs, den_pairs)) == want, (nums, dens)
 
 
 def _random_polynomial(rng, max_degree):

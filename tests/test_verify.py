@@ -114,8 +114,12 @@ class TestFailureText:
     def test_route_mismatch(self, monkeypatch):
         import binsum.verify as verify_mod
 
-        b_real, a_real = verify_mod.b_hypergeom, verify_mod.a_from_b_terms
-        monkeypatch.setattr(verify_mod, "b_hypergeom", lambda k, q, j: b_real(k, q, j) + (j == 3))
+        b_real, a_real = verify_mod.b_hypergeom_terms, verify_mod.a_from_b_terms
+        monkeypatch.setattr(
+            verify_mod,
+            "b_hypergeom_terms",
+            lambda k, q, n: [v + (j == 3) for j, v in enumerate(b_real(k, q, n))],
+        )
         monkeypatch.setattr(
             verify_mod,
             "a_from_b_terms",
@@ -484,6 +488,24 @@ class TestFailureText:
                 "tables", "tables/recurrence-fidelity/a-k1-q2",
                 "series of the rational function diverges from the evaluator",
                 id="a_double_sum_terms",
+            ),
+            # verify reads the prefixes seq --via series and seq --family c run
+            pytest.param(
+                "a_hypergeom_terms", (1, 2, 26), lambda v: v[:7] + [v[7] + 1] + v[8:],
+                "formulas", "formulas/a-agreement/k1-q2",
+                "m=7: terminating-series gave 17497, double sum gave 17496",
+                id="a_hypergeom_terms",
+            ),
+            pytest.param(
+                "b_hypergeom_terms", (1, 2, 21), lambda v: v[:7] + [v[7] + 1] + v[8:],
+                "formulas", "formulas/b-agreement/k1-q2",
+                "j=7: terminating series gave -1471, direct sum gave -1472",
+                id="b_hypergeom_terms",
+            ),
+            pytest.param(
+                "c_direct_terms", (1, 3, 9), lambda v: v[:7] + [v[7] + 1] + v[8:],
+                "tables", "tables/c-row/J1-q3", "i=7: evaluator gave 23, table lists 22",
+                id="c_direct_terms",
             ),
             pytest.param(
                 "B_gf", (2, 3),
