@@ -6,7 +6,8 @@ recur (linear recurrences), verify (the verification suites), oeis
 deterministic so identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or arithmetic
-error, 3 transport or fixture error.
+error, 3 transport or fixture error.  A reader that closes stdout early
+(as `| head` does) ends the output quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,7 +30,6 @@ from .genfunc import (
 )
 from .polynomials import RationalGF
 from .sequences import (
-    _per_index,
     a_double_sum_terms,
     a_hypergeom_terms,
     a_single_sum_terms,
@@ -219,7 +220,7 @@ def _seq_values(args) -> list:
         ("a", "direct"): a_double_sum_terms,
         ("a", "single"): a_single_sum_terms,
         ("a", "series"): a_hypergeom_terms,
-        ("b", "direct"): _per_index(b_direct),
+        ("b", "direct"): lambda k, q, n: [b_direct(k, q, j) for j in range(n)],
         ("b", "series"): b_hypergeom_terms,
         ("c", "direct"): c_direct_terms,
     }
@@ -331,7 +332,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
         if args.command is None:
             raise _UsageError(f"a subcommand is required ({', '.join(_HANDLERS)})")
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    # the reader closed stdout, as `| head` does: nothing is left to say, and
+    # stdout goes to the null device so the flush at exit cannot raise again.
+    # SIGPIPE stays ignored, so a socket the fetch writes to raises there and
+    # becomes a TransportError; BrokenPipeError is an OSError, so this comes first
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PASS
     # OSError covers TransportError, FixtureMissingError and a cache file
     # that cannot be written; BFileParseError is a ValueError, so this
     # clause comes first

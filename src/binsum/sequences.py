@@ -63,11 +63,6 @@ def as_integer(value: Scalar) -> int:
     return value
 
 
-def _per_index(evaluate):
-    """The prefix function (k, q, n) -> [evaluate(k, q, 0..n-1)] of a point route."""
-    return lambda k, q, n: [evaluate(k, q, i) for i in range(n)]
-
-
 def _binomial_transform(values: list) -> list:
     """sum_{j=0..m} (-1)^j C(m, j) values[j] for each m < len(values).
 

@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -558,6 +561,32 @@ class TestOeis:
         code, _, err = run(capsys, "oeis", "--id", "A000045", "--offline", "--compare")
         assert code == 2
         assert "no known mapping" in err
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("seq", "--family", "a", "--k", "5", "--q", "3", "--n-max", "3000",
+          "--format", "bfile"), "0 1\n"),
+        (("verify", "--suite", "all", "--offline"), "{\n"),
+    ],
+)
+def test_closed_stdout_ends_quietly(argv, first):
+    # a reader such as `head -n 1` closes the pipe after one line; both
+    # outputs are far past the 64 KiB a pipe buffers, so the CLI's own write
+    # meets the closed pipe rather than racing the reader
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "binsum.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as child:
+        assert child.stdout.readline() == first
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, "")
 
 
 def test_no_subcommand(capsys):

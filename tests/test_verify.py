@@ -265,7 +265,7 @@ class TestFailureText:
         assert report.counts["fail"] == 1
         case = cases_by_id(report)["formulas/rational-q/a-agreement/q1-2"]
         assert case.status == "fail"
-        assert case.actual == "k=1, m=4: single sum gave 89/8, alternating b gave 81/8"
+        assert case.actual == "k=1, m=4: single-sum gave 89/8, double sum gave 81/8"
 
     def test_wrong_double_sum_at_rational_q_fails(self, monkeypatch):
         # seq --family a runs the double sum at rational q, so a wrong value
@@ -291,7 +291,7 @@ class TestFailureText:
         for q, case_id in zip((Fraction(1, 2), Fraction(3, 2)), failed):
             want = a_single_sum(0, q, 3)
             assert cases[case_id].actual == (
-                f"k=0, m=3: double sum gave {want + 1}, alternating b gave {want}"
+                f"k=0, m=3: single-sum gave {want}, double sum gave {want + 1}"
             )
 
     def test_wrong_single_sum_prefix_at_rational_q_fails(self, monkeypatch):
@@ -318,8 +318,34 @@ class TestFailureText:
         for q, case_id in zip((Fraction(1, 2), Fraction(3, 2)), failed):
             want = a_single_sum(0, q, 3)
             assert cases[case_id].actual == (
-                f"k=0, m=3: single-sum prefix gave {want + 1}, alternating b gave {want}"
+                f"k=0, m=3: single-sum prefix gave {want + 1}, double sum gave {want}"
             )
+
+    def test_wrong_single_sum_prefix_at_integer_q_fails(self, monkeypatch):
+        # seq --via single prints a_single_sum_terms at integer q and
+        # gf --family A --reconstruct fits it, so a wrong entry there must
+        # fail every integer-q a-agreement case; the rational-q cases pass
+        import binsum.verify as verify_mod
+
+        real = verify_mod.a_single_sum_terms
+        monkeypatch.setattr(
+            verify_mod,
+            "a_single_sum_terms",
+            lambda k, q, n: [
+                v + (isinstance(q, int) and m == 12) for m, v in enumerate(real(k, q, n))
+            ],
+        )
+        cases = cases_by_id(run_suite("formulas"))
+        failed = sorted(case_id for case_id, case in cases.items() if case.status == "fail")
+        assert failed == sorted(
+            f"formulas/a-agreement/k{k}-q{q}" for k in range(6) for q in range(6)
+        )
+        for k in range(6):
+            for q in range(6):
+                want = a_single_sum(k, q, 12)
+                assert cases[f"formulas/a-agreement/k{k}-q{q}"].actual == (
+                    f"m=12: single-sum prefix gave {want + 1}, double sum gave {want}"
+                )
 
     def test_kernel_wrong_only_at_rational_step_fails(self, monkeypatch):
         # a_single_sum is a call of the alternating-sum kernel, and every
@@ -343,7 +369,7 @@ class TestFailureText:
             "formulas/rational-q/a-agreement/q3-2",
         ]
         for case_id in failed:
-            assert cases[case_id].actual.startswith("k=0, m=7: single sum gave ")
+            assert cases[case_id].actual.startswith("k=0, m=7: single-sum gave ")
 
     def test_binomial_wrong_only_at_rational_top_fails(self, monkeypatch):
         # in the formulas suite only b_direct's rational branch passes
@@ -366,9 +392,9 @@ class TestFailureText:
             "formulas/rational-q/a-agreement/q3-2",
         ]
         for q, case_id in zip((Fraction(1, 2), Fraction(3, 2)), failed):
-            assert cases[case_id].actual.startswith(
-                f"k=0, m=7: single sum gave {a_single_sum(0, q, 7)}, alternating b gave "
-            )
+            actual = cases[case_id].actual
+            assert actual.startswith("k=0, m=7: alternating-b gave ")
+            assert actual.endswith(f"double sum gave {a_single_sum(0, q, 7)}")
 
     def test_wrong_recurrence_route_fails_fidelity(self, monkeypatch):
         # seq's default route is checked past its k+1 seed terms
