@@ -156,11 +156,10 @@ def _json_document(
         "recurrence": None,
     }
     if gf is not None:
-        num = gf.numerator
-        den = gf.denominator
+        # a canonical function's two parts have integer coefficients
         document["gf"] = {
-            "num": [str(num.coefficient(i)) for i in range(max(num.degree, 0) + 1)],
-            "den": [str(den.coefficient(i)) for i in range(max(den.degree, 0) + 1)],
+            "num": [str(c) for c in gf.numerator.int_coefficients() or (0,)],
+            "den": [str(c) for c in gf.denominator.int_coefficients()],
         }
     if recurrence is not None:
         document["recurrence"] = {

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import (
@@ -56,7 +57,7 @@ def _one_minus_power(r: Scalar, n: int) -> list[Scalar]:
 
 def _truncated_product(w: Sequence[Scalar], s: Sequence[Scalar]) -> list[Scalar]:
     """(w * s) mod z^len(s) for coefficient lists w and s; w may be shorter."""
-    return [sum(x * y for x, y in zip(w, reversed(s[: j + 1]))) for j in range(len(s))]
+    return [sum(map(mul, w, reversed(s[: j + 1]))) for j in range(len(s))]
 
 
 def B_gf(k: int, q: int) -> RationalGF:
@@ -188,7 +189,7 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
     lowest terms, so a C with two distinct roots is the series' own, and
     RationalGF refuses it with NotALinearPowerError.
     """
-    terms = [Fraction(_refuse_float("a series term", t)) for t in series]
+    terms = [_refuse_float("a series term", t) for t in series]
     scale = math.lcm(*[t.denominator for t in terms])
     scaled = [t.numerator * (scale // t.denominator) for t in terms]
     # C is the connection polynomial, of degree <= L; B is C as it was before
@@ -326,16 +327,17 @@ def recurrence_from_gf(f: RationalGF) -> CFiniteRecurrence:
     n exceeds the numerator degree.  The offset is how many extra leading
     terms beyond the order are needed before that holds unconditionally.
     """
-    d0 = f.denominator.coefficient(0)
+    den = f.denominator.int_coefficients()
+    d0 = den[0]
     if d0 == 0:
         raise NotAPowerSeriesError("denominator constant coefficient is zero")
-    order = f.denominator.degree
+    order = len(den) - 1
     if order == 0:
         # polynomial: finitely many nonzero terms; model as order-1 with zero tail
         offset = f.numerator.degree + 1
         seed = f.series(offset + 1)
         return CFiniteRecurrence(1, (0,), tuple(seed), offset)
-    coefficients = tuple(normalize_scalar(-c / d0) for c in f.denominator.coefficients[1:])
+    coefficients = tuple(Fraction(-c, d0) if c % d0 else -c // d0 for c in den[1:])
     offset = max(0, f.numerator.degree + 1 - order)
     seed = f.series(order + offset)
     return CFiniteRecurrence(order, coefficients, tuple(seed), offset)

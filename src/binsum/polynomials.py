@@ -11,8 +11,9 @@ so structural equality decides equality:
 The arithmetic stays in int.  A product convolves the numerators and
 multiplies the denominators, a sum scales both operands to the lcm of their
 denominators, and one internal constructor restores the canonical form.
-The public accessors still hand out Fractions, so callers that divide a
-coefficient get an exact quotient.
+coefficients and coefficient() hand out Fractions, so callers that divide a
+coefficient get an exact quotient; int_coefficients() hands an integral
+Polynomial's ints out as they are held, and refuses any other.
 
 RationalGF holds a numerator over a denominator c*(b0 + b1*z)^e, a constant
 times a power of one linear factor (z^e included): the shape of every
@@ -71,7 +72,11 @@ class Polynomial:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[Scalar] = ()) -> None:
-        values = [_refuse_float("a coefficient", c) for c in coefficients]
+        values = list(coefficients)
+        if all(type(c) is int for c in values):
+            self._nums, self._den = _canonical(values, 1)
+            return
+        values = [_refuse_float("a coefficient", c) for c in values]
         den = lcm(*[c.denominator for c in values])
         self._nums, self._den = _canonical(
             [c.numerator * (den // c.denominator) for c in values], den
@@ -94,6 +99,12 @@ class Polynomial:
     def coefficients(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(c, den) for c in self._nums)
+
+    def int_coefficients(self) -> tuple[int, ...]:
+        """The coefficients of an integral Polynomial as ints; any other raises ValueError."""
+        if self._den != 1:
+            raise ValueError(f"{self.render()} has a coefficient that is not an integer")
+        return self._nums
 
     @property
     def degree(self) -> int:

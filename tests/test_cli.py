@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -432,6 +433,36 @@ class TestRecur:
             "init": ["1", "6"],
             "offset": 0,
         }
+
+
+def _gf_recur_grid():
+    """gf and recur over A, B and C, k or J in {0, 1, 2, 5, 9, 16}, q integer
+    and rational, json and text, and gf --reconstruct at k <= 5."""
+    for family, name in (("A", "--k"), ("B", "--k"), ("C", "--J")):
+        for k in ("0", "1", "2", "5", "9", "16"):
+            for q in ("0", "1", "3", "1/2", "2/3", "5/2"):
+                for fmt in ("json", "text"):
+                    base = ["--family", family, name, k, "--q", q, "--format", fmt]
+                    yield ["gf", *base]
+                    yield ["recur", *base]
+                    if int(k) <= 5:
+                        yield ["gf", *base, "--reconstruct"]
+
+
+# sha256 of (argv, exit code, stdout) over the grid; a change to the bytes
+# gf or recur print must be deliberate
+PINNED_GF_RECUR_SHA256 = "857ec9c095962ff1ad76558fb2486f684e56086559ba0c8c4ae4b8d677fc2f4e"
+
+
+def test_gf_and_recur_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    calls = 0
+    for argv in _gf_recur_grid():
+        code = main(argv)
+        digest.update(repr((argv, code, capsys.readouterr().out)).encode())
+        calls += 1
+    assert calls == 576
+    assert digest.hexdigest() == PINNED_GF_RECUR_SHA256
 
 
 class TestVerify:

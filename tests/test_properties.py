@@ -207,6 +207,34 @@ def test_equal_values_compare_and_hash_equal(a, b, s):
         assert p == value and hash(p) == hash(value)
 
 
+# An all-int list takes the constructor's int path; it must build the
+# canonical form the checked path builds from the same values as Fractions.
+@SETTINGS
+@given(st.lists(st.integers(min_value=-30, max_value=30), max_size=6), st.integers(0, 3))
+@example([], 0)
+@example([], 2)
+@example([0, -4], 1)
+def test_int_list_builds_as_its_fractions_do(values, zeros):
+    values = values + [0] * zeros
+    p = Polynomial(values)
+    _assert_is(p, _trim(values))
+    assert p == Polynomial([Fraction(c) for c in values])
+    assert p.int_coefficients() == tuple(_trim(values))
+    assert all(type(c) is int for c in p.int_coefficients())
+
+
+@SETTINGS
+@given(coefficient_list)
+@example([Fraction(1, 2)])
+def test_int_coefficients_refuse_a_non_integer(a):
+    p = Polynomial(a)
+    if all(c.denominator == 1 for c in p.coefficients):
+        assert p.int_coefficients() == tuple(int(c) for c in p.coefficients)
+    else:
+        with pytest.raises(ValueError, match="not an integer"):
+            p.int_coefficients()
+
+
 @SETTINGS
 @given(polynomial, linear_factor, power, nonzero_coefficient)
 def test_canonical_form_invariants(num, base, e, c):
@@ -479,6 +507,24 @@ rational_q = st.builds(
 @given(rational_q, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10))
 def test_single_sum_is_the_double_sum_at_rational_q(q, k, m):
     assert a_single_sum(k, q, m) == a_double_sum(k, q, m)
+
+
+# recurrence_from_gf divides the denominator by d0 in int; each coefficient
+# is -d_i / d0, an int exactly when it is integral.
+@SETTINGS
+@given(st.sampled_from("abc"), st.integers(0, 9), st.one_of(family_q, rational_q))
+@example("a", 1, Fraction(1, 2))
+@example("b", 2, Fraction(2, 3))
+def test_recurrence_coefficients_are_exact_quotients(family, k, q):
+    f = paper_gf(family, k, q)
+    den = f.denominator.coefficients
+    coefficients = recurrence_from_gf(f).coefficients
+    if len(den) == 1:
+        assert coefficients == (0,)
+        return
+    assert coefficients == tuple(-Fraction(c) / den[0] for c in den[1:])
+    for c in coefficients:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
 
 # b's defining sum, binomial by binomial over one shared denominator,
