@@ -124,7 +124,11 @@ def build_parser() -> _Parser:
         help="the suite to run (default: all); an unknown name lists the suites",
     )
     verify.add_argument("--offline", action="store_true")
-    verify.add_argument("--timing", action="store_true")
+    verify.add_argument(
+        "--timing",
+        action="store_true",
+        help="report the suite's and each case's wall time in seconds",
+    )
 
     oeis = sub.add_parser("oeis", help="fetch or compare an OEIS b-file")
     oeis.add_argument("--id", required=True)

@@ -238,11 +238,10 @@ class CFiniteRecurrence(NamedTuple):
         """
         _check_nonnegative("n", n)
         out = list(self.initial_terms[:n])
+        coefficients, order = self.coefficients, self.order
         while len(out) < n:
-            position = len(out)
-            out.append(
-                sum(c * out[position - i] for i, c in enumerate(self.coefficients, start=1))
-            )
+            # the last `order` terms, newest first; an order-0 window is empty
+            out.append(sum(map(mul, coefficients, reversed(out[len(out) - order:]))))
         if all(type(x) is int for x in (*self.coefficients, *self.initial_terms)):
             return out
         return [normalize_scalar(x) for x in out]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, mul
+from operator import floordiv, mul, sub
 
 from .combinatorics import (
     Scalar,
@@ -25,7 +25,6 @@ from .combinatorics import (
     alternating_binomial_sum,
     binomial,
     factorial,
-    multinomial,
     normalize_scalar,
     stirling2,
 )
@@ -78,7 +77,7 @@ def _binomial_transform(values: list) -> list:
     heads = []
     while values:
         heads.append(values[0])
-        values = [a - b for a, b in zip(values, values[1:])]
+        values = list(map(sub, values, values[1:]))
     if denominator == 1:
         return heads
     return [normalize_scalar(Fraction(head, denominator)) for head in heads]
@@ -134,9 +133,9 @@ def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
     d times the part of b made of d's primes, so the column steps by one
     exact m (lead*d + p*i) // ((m-i) unit), unit being b with d's primes
     divided out.  New column m is C(t, b) at d = 1, else the falling product
-    of t*d in steps of d over the part of b! prime to d.  Each sum is the
-    even columns less the odd ones over D_b; at an integer step D_b = 1 and
-    unit = b, so it is an int.
+    of t*d in steps of d over the part of b! prime to d, and it carries its
+    sign (-1)^m; the exact steps keep it.  Each sum is the columns' total
+    over D_b; at an integer step D_b = 1 and unit = b, so it is an int.
     """
     p, d = step.numerator, step.denominator
     # for b below 2^e, gcd(b, d^e) is the part of b made of d's primes
@@ -157,10 +156,11 @@ def _carried_sums(k: int, step: Scalar, n: int, rise: int) -> list:
             columns = list(map(floordiv, map(mul, columns, gains), range(m * unit, 0, -unit)))
         top = (k + rise * m) * d + p * m
         if d == 1:
-            columns.append(math.comb(top, bottom))
+            column = math.comb(top, bottom)
         else:
-            columns.append(math.prod(range(top, top - bottom * d, -d)) // prime_to_d)
-        total = sum(columns[0::2]) - sum(columns[1::2])
+            column = math.prod(range(top, top - bottom * d, -d)) // prime_to_d
+        columns.append(-column if m & 1 else column)
+        total = sum(columns)
         sums.append(total if denominator == 1 else normalize_scalar(Fraction(total, denominator)))
     return sums
 
@@ -336,27 +336,31 @@ def beta_integral(j: int, q: int) -> Fraction:
 
     Expands (1 + t + ... + t^(q-1))^(j+1) by the multinomial theorem and
     integrates termwise: each composition j_0+...+j_{q-1} = j+1 contributes
-    multinomial(j+1; parts) / (1 + j + j_1 + 2 j_2 + ... + (q-1) j_{q-1}).
-    Always a positive rational.
+    multinomial(j+1; parts) / (1 + j + w), w = j_1 + 2 j_2 + ... + (q-1) j_{q-1}.
+    The compositions are walked one part at a time, each multinomial carried
+    as the product of C(left, part) over the parts placed, and added to an
+    int count for its weight w; the counts go over the lcm of j+1..q(j+1)
+    once.  Always a positive rational.
     """
     _check_nonnegative("j", j)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    total = Fraction(0)
-    for parts in _compositions(j + 1, q):
-        weight = sum(l * parts[l] for l in range(q))
-        total += Fraction(multinomial(j + 1, parts), 1 + j + weight)
-    return total
-
-
-def _compositions(total: int, count: int):
-    """Yield all tuples of `count` nonnegative integers summing to `total`."""
-    if count == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, count - 1):
-            yield (first,) + rest
+    last = q - 1
+    counts = [0] * (last * (j + 1) + 1)
+    # (next part's index l, parts left, weight so far, multinomial so far)
+    stack = [(0, j + 1, 0, 1)]
+    while stack:
+        part, left, weight, coefficient = stack.pop()
+        if part == last:
+            counts[weight + part * left] += coefficient
+            continue
+        for size in range(left + 1):
+            stack.append(
+                (part + 1, left - size, weight + part * size, coefficient * math.comb(left, size))
+            )
+    denominator = math.lcm(*range(j + 1, q * (j + 1) + 1))
+    total = sum(count * (denominator // (1 + j + weight)) for weight, count in enumerate(counts))
+    return Fraction(total, denominator)
 
 
 def power_via_stirling(base: int, n: int) -> int:

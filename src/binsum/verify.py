@@ -2,9 +2,9 @@
 
 Each case runs one self-contained check and records what was expected
 against what actually happened.  Reports are deterministic: case ids are
-fixed strings, cases are sorted lexicographically, and wall time is only
-filled in when explicitly requested so that repeated runs are
-byte-identical.
+fixed strings, cases are sorted lexicographically, and wall times, the
+report's and each case's, are only printed when explicitly requested so
+that repeated runs are byte-identical.
 
 Every case kind is a module-level check function plus a grid of
 (case id, inputs, check arguments) rows that ``_cases`` turns into results.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -89,9 +89,11 @@ class CaseResult:
     actual: str
     status: str  # "pass" | "fail"
     provenance: str
+    # seconds the check took; not compared, and printed only by a timed report
+    wall_time: Optional[float] = field(default=None, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, timed: bool = False) -> dict:
+        doc = {
             "case_id": self.case_id,
             "inputs": dict(self.inputs),
             "expected": self.expected,
@@ -99,6 +101,9 @@ class CaseResult:
             "status": self.status,
             "provenance": self.provenance,
         }
+        if timed:
+            doc["wall_time"] = self.wall_time
+        return doc
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class VerificationReport:
             "status": self.status,
             "counts": self.counts,
             "wall_time": self.wall_time,
-            "cases": [case.to_dict() for case in self.cases],
+            "cases": [case.to_dict(self.wall_time is not None) for case in self.cases],
         }
 
     def to_json(self) -> str:
@@ -140,14 +145,17 @@ def _cases(
     """One case per (case_id, inputs, args) row of the grid.
 
     check(*args) returns None on success, else a complaint; an exception is
-    reported as a complaint too.  Inputs are reported as strings.
+    reported as a complaint too.  Inputs are reported as strings, and each
+    case keeps the seconds its check took.
     """
     cases = []
     for case_id, inputs, args in grid:
+        started = time.monotonic()
         try:
             complaint = check(*args)
         except Exception as exc:
             complaint = f"{type(exc).__name__}: {exc}"
+        elapsed = time.monotonic() - started
         cases.append(
             CaseResult(
                 case_id,
@@ -156,6 +164,7 @@ def _cases(
                 expected if complaint is None else complaint,
                 "pass" if complaint is None else "fail",
                 provenance,
+                elapsed,
             )
         )
     return cases
@@ -366,8 +375,8 @@ def _check_c2_recurrence(J: int) -> Optional[str]:
 
 def _check_denominator(k: int, q: int) -> Optional[str]:
     den = B_gf(k, q).denominator
-    full = Polynomial([1, q]) ** (k + 1)
     if den.degree > k + 1 or den != den.coefficient(0) * Polynomial([1, q]) ** den.degree:
+        full = Polynomial([1, q]) ** (k + 1)
         return f"denominator {den.render()} does not divide {full.render()}"
     return None
 
@@ -499,17 +508,17 @@ def _check_zero_sum(q: int, j_top: int) -> Optional[str]:
 def _check_beta(q: int) -> Optional[str]:
     for j in range(9):
         value = beta_integral(j, q)
-        # oracle: expand the integrand and integrate monomials
-        poly = Polynomial([1] * q) ** (j + 1)
-        direct = sum(
-            (poly.coefficient(i) / (i + j + 1) for i in range(poly.degree + 1)),
-            Fraction(0),
+        # oracle: expand the integrand and integrate its monomials t^(i+j),
+        # each over the lcm bound, which every i+j+1 <= q(j+1) divides
+        bound = math.lcm(*range(1, q * (j + 1) + 1))
+        coefficients = (Polynomial([1] * q) ** (j + 1)).int_coefficients()
+        direct = Fraction(
+            sum(c * (bound // (i + j + 1)) for i, c in enumerate(coefficients)), bound
         )
         if value != direct:
             return f"j={j}: composition sum {value}, direct integration {direct}"
         if value <= 0:
             return f"j={j}: value {value} not positive"
-        bound = math.lcm(*range(1, q * (j + 1) + 1))
         if bound % value.denominator != 0:
             return f"j={j}: denominator {value.denominator} exceeds lcm bound"
     return None

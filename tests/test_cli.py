@@ -473,6 +473,21 @@ class TestVerify:
         assert doc["status"] == "pass"
         assert doc["wall_time"] is None
 
+    def test_timing_gives_every_case_a_wall_time(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "identities", "--timing")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["wall_time"] >= 0
+        assert len(doc["cases"]) == 58
+        assert all(case["wall_time"] >= 0 for case in doc["cases"])
+
+    def test_no_case_has_a_wall_time_untimed(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "identities")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["wall_time"] is None
+        assert not any("wall_time" in case for case in doc["cases"])
+
     def test_byte_identical_runs(self, capsys):
         args = ("verify", "--suite", "identities")
         code1, out1, _ = run(capsys, *args)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from binsum.combinatorics import binomial
+from binsum.combinatorics import binomial, multinomial
 from binsum.errors import UnsupportedParameterError
 from binsum.genfunc import paper_gf, recurrence_terms
 from binsum.sequences import (
@@ -216,6 +216,26 @@ class TestBetaIntegral:
                     Fraction(c, d + j + 1) for d, c in enumerate(coeffs)
                 )
                 assert beta_integral(j, q) == direct
+
+    def test_equals_the_per_composition_sum(self):
+        # the literal expansion: one multinomial and one Fraction per composition
+        def compositions(total, count):
+            if count == 1:
+                yield (total,)
+                return
+            for first in range(total + 1):
+                for rest in compositions(total - first, count - 1):
+                    yield (first,) + rest
+
+        for j in range(11):
+            for q in range(1, 7):
+                literal = Fraction(0)
+                for parts in compositions(j + 1, q):
+                    weight = sum(l * size for l, size in enumerate(parts))
+                    literal += Fraction(multinomial(j + 1, parts), 1 + j + weight)
+                value = beta_integral(j, q)
+                assert value == literal and type(value) is Fraction
+            assert beta_integral(j, 1) == Fraction(1, j + 1)
 
     def test_positive_with_bounded_denominator(self):
         # largest single denominator in the expansion is q*(j+1)

@@ -77,7 +77,16 @@ class TestRunSuite:
     def test_timing_requested(self):
         report = run_suite("appendix", timing=True)
         assert isinstance(report.wall_time, float)
-        assert report.to_dict()["wall_time"] is not None
+        doc = report.to_dict()
+        assert doc["wall_time"] is not None
+        assert all(case["wall_time"] >= 0 for case in doc["cases"])
+
+    def test_case_times_are_printed_only_when_timed(self):
+        report = run_suite("appendix")
+        assert report.wall_time is None
+        assert not any("wall_time" in case for case in report.to_dict()["cases"])
+        # a case's time is not part of its value
+        assert report.cases == run_suite("appendix", timing=True).cases
 
     def test_oeis_online_failure_reported_not_raised(self, tmp_path, monkeypatch):
         import urllib.error
@@ -395,6 +404,25 @@ class TestFailureText:
             actual = cases[case_id].actual
             assert actual.startswith("k=0, m=7: alternating-b gave ")
             assert actual.endswith(f"double sum gave {a_single_sum(0, q, 7)}")
+
+    def test_wrong_beta_integral_at_q5_fails(self, monkeypatch):
+        # the acceptance grid stops at q = 4, so only verify reaches q = 5
+        import binsum.verify as verify_mod
+
+        real = verify_mod.beta_integral
+
+        def bumped(j, q):
+            value = real(j, q)
+            return value + 1 if (j, q) == (7, 5) else value
+
+        monkeypatch.setattr(verify_mod, "beta_integral", bumped)
+        report = run_suite("identities")
+        failed = [case for case in report.cases if case.status == "fail"]
+        assert [case.case_id for case in failed] == ["identities/beta-integral/q5"]
+        direct = real(7, 5)
+        assert failed[0].actual == (
+            f"j=7: composition sum {direct + 1}, direct integration {direct}"
+        )
 
     def test_wrong_recurrence_route_fails_fidelity(self, monkeypatch):
         # seq's default route is checked past its k+1 seed terms
