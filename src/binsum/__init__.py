@@ -11,7 +11,6 @@ and rational arithmetic; there is not a float in sight.
 from .combinatorics import (
     binomial,
     factorial,
-    multinomial,
     normalize_scalar,
     pochhammer,
     stirling1_signed,
@@ -123,7 +122,6 @@ __all__ = [
     "factorial",
     "fetch_bfile",
     "hyp_terminating",
-    "multinomial",
     "normalize_scalar",
     "omega_poly",
     "paper_gf",

@@ -57,6 +57,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _q_literal(text: str) -> Fraction:
     try:
+        if "e" in text.lower():
+            # Fraction would build 10**exponent: minutes for 1e100000000
+            raise ValueError(text)
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}")

@@ -1,5 +1,5 @@
 """Exact combinatorial primitives: factorials, binomials, Pochhammer symbols,
-Stirling numbers, multinomials.
+Stirling numbers.
 
 Scalars are plain ``int`` and ``fractions.Fraction``; no floating point
 anywhere.  Integral results come back as ``int``.
@@ -11,7 +11,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial  # public as binsum.factorial; ValueError for n < 0
-from typing import Sequence, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -153,17 +153,3 @@ def stirling1_signed(n: int, k: int) -> int:
     is (-1)^(n-k).
     """
     return _entry("stirling1_signed", n, k)
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """n! / (parts[0]! * parts[1]! * ...) with sum(parts) == n required."""
-    if not all(isinstance(x, int) for x in (n, *parts)):
-        raise ValueError(f"multinomial needs int n and parts, got {n!r} and {list(parts)!r}")
-    if n < 0 or any(p < 0 for p in parts):
-        raise ValueError("multinomial arguments must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError(f"parts {list(parts)} do not sum to {n}")
-    result = factorial(n)
-    for p in parts:
-        result //= factorial(p)
-    return result

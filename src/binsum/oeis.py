@@ -102,13 +102,13 @@ def _decode(data: bytes) -> str:
         raise BFileParseError(f"line {line_number}: not UTF-8 text", line_number) from None
 
 
-def cache_path(oeis_id: str, cache_dir: Optional[str] = None) -> Path:
-    """Resolve the on-disk cache location for a sequence's b-file."""
-    if cache_dir is None:
-        # an empty value counts as unset, not as the current directory
-        cache_dir = os.environ.get("BINSUM_CACHE_DIR") or None
-    if cache_dir is None:
-        cache_dir = os.path.join(os.path.expanduser("~"), ".cache", "binsum")
+def cache_path(oeis_id: str) -> Path:
+    """Resolve the on-disk cache location for a sequence's b-file: in
+    BINSUM_CACHE_DIR, or in ~/.cache/binsum when that is unset or empty (an
+    empty value is not the current directory)."""
+    cache_dir = os.environ.get("BINSUM_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "binsum"
+    )
     return Path(cache_dir) / f"b{oeis_id[1:]}.txt"
 
 
@@ -127,22 +127,22 @@ def fetch_bfile(
     max_terms: Optional[int] = None,
     *,
     offline: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> list[tuple[int, int]]:
     """Return the sequence's reference terms as (index, value) pairs.
 
     Pairs come back sorted by index, truncated to max_terms when given.
-    Offline mode reads the cache, then the bundled fixture; a miss on both
-    raises FixtureMissingError.  Online mode fetches from oeis.org and
-    writes the cache atomically; network failure raises TransportError, and
-    a cache file that cannot be written raises OSError naming it.
+    Offline mode reads the cache file cache_path names, then the bundled
+    fixture; a miss on both raises FixtureMissingError.  Online mode fetches
+    from oeis.org and writes that file atomically; network failure raises
+    TransportError, and a cache file that cannot be written raises OSError
+    naming it.
     A cache file that does not parse, or is not UTF-8, raises BFileParseError
     naming the file and, unless a re-fetch would bring the same failure back,
     saying to delete it; a fetched file that does not parse raises it too and
     is not cached.
     """
     validate_oeis_id(oeis_id)
-    path = cache_path(oeis_id, cache_dir)
+    path = cache_path(oeis_id)
 
     if path.is_file():
         try:

@@ -632,20 +632,17 @@ def _appendix_cases() -> list[CaseResult]:
 
 
 def compare_pinned(
-    mapping: oeis_mod.OeisMapping,
-    *,
-    offline: bool = False,
-    cache_dir: Optional[str] = None,
+    mapping: oeis_mod.OeisMapping, *, offline: bool = False
 ) -> oeis_mod.ComparisonResult:
     """Compare a(k, q; m) for m < PINNED_TERMS against the mapping's OEIS entry."""
     k, q = mapping.params
     computed = [as_integer(a_single_sum(k, q, m)) for m in range(PINNED_TERMS)]
-    pairs = oeis_mod.fetch_bfile(mapping.oeis_id, offline=offline, cache_dir=cache_dir)
+    pairs = oeis_mod.fetch_bfile(mapping.oeis_id, offline=offline)
     return oeis_mod.compare_terms(computed, dict(pairs), mapping.oeis_id, pinned_shift=mapping.offset_shift)
 
 
-def _check_sequence(mapping, offline: bool, cache_dir: Optional[str]) -> Optional[str]:
-    result = compare_pinned(mapping, offline=offline, cache_dir=cache_dir)
+def _check_sequence(mapping, offline: bool) -> Optional[str]:
+    result = compare_pinned(mapping, offline=offline)
     return None if result.matched else result.describe()
 
 
@@ -662,12 +659,8 @@ class _Triangle(NamedTuple):
     poly: Callable[[int], Polynomial]  # the polynomial a row lists
 
 
-def _check_triangle(
-    triangle: _Triangle, offline: bool, cache_dir: Optional[str]
-) -> Optional[str]:
-    reference = dict(
-        oeis_mod.fetch_bfile(triangle.oeis_id, offline=offline, cache_dir=cache_dir)
-    )
+def _check_triangle(triangle: _Triangle, offline: bool) -> Optional[str]:
+    reference = dict(oeis_mod.fetch_bfile(triangle.oeis_id, offline=offline))
     rows = []
     index = triangle.first_index
     for p in triangle.params:
@@ -684,7 +677,7 @@ def _check_triangle(
     return None
 
 
-def _oeis_cases(offline: bool, cache_dir: Optional[str]) -> list[CaseResult]:
+def _oeis_cases(offline: bool) -> list[CaseResult]:
     triangles = (
         _Triangle(
             "A034839", 2, "closed-form numerators match the even-binomial triangle",
@@ -709,7 +702,7 @@ def _oeis_cases(offline: bool, cache_dir: Optional[str]) -> list[CaseResult]:
         PROVENANCE_OEIS,
         [
             (f"oeis/{m.oeis_id}", dict(k=m.params[0], q=m.params[1], terms=PINNED_TERMS),
-             (m, offline, cache_dir))
+             (m, offline))
             for m in oeis_mod.PINNED_MAPPINGS
         ],
     )
@@ -719,7 +712,7 @@ def _oeis_cases(offline: bool, cache_dir: Optional[str]) -> list[CaseResult]:
             _check_triangle,
             t.expected,
             PROVENANCE_OEIS,
-            [(f"oeis/{t.oeis_id}-triangle", dict(rows=rows), (t, offline, cache_dir))],
+            [(f"oeis/{t.oeis_id}-triangle", dict(rows=rows), (t, offline))],
         )
     return cases
 
@@ -731,7 +724,6 @@ def run_suite(
     name: str,
     *,
     offline: bool = False,
-    cache_dir: Optional[str] = None,
     timing: bool = False,
 ) -> VerificationReport:
     """Run one named suite (or "all") and return its report."""
@@ -742,7 +734,7 @@ def run_suite(
         "tables": _tables_cases,
         "identities": _identities_cases,
         "appendix": _appendix_cases,
-        "oeis": lambda: _oeis_cases(offline, cache_dir),
+        "oeis": lambda: _oeis_cases(offline),
     }
 
     started = time.monotonic() if timing else None

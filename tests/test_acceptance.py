@@ -158,8 +158,8 @@ def test_criterion_07_recurrence_fidelity(capsys):
     _verdict(capsys, "recurrence-fidelity", failures)
 
 
-def test_criterion_08_oeis_offline(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
+def test_criterion_08_oeis_offline(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path / "cache"))
     failures = []
     pinned = {m.oeis_id: m for m in PINNED_MAPPINGS}
     for oeis_id, k, q in (
@@ -172,7 +172,7 @@ def test_criterion_08_oeis_offline(capsys, tmp_path):
         if mapping is None or mapping.params != (k, q):
             failures.append(f"{oeis_id}: no pinned mapping for (k={k}, q={q})")
             continue
-        result = verify.compare_pinned(mapping, offline=True, cache_dir=cache)
+        result = verify.compare_pinned(mapping, offline=True)
         if not result.matched:
             failures.append(result.describe())
         elif result.overlap < 20:
@@ -185,13 +185,13 @@ def test_criterion_08_oeis_offline(capsys, tmp_path):
                 shift
                 for shift in range(pinned_shift - 2, pinned_shift + 3)
                 if verify.compare_pinned(
-                    dataclasses.replace(mapping, offset_shift=shift), offline=True, cache_dir=cache
+                    dataclasses.replace(mapping, offset_shift=shift), offline=True
                 ).matched
             ]
             if shifts != [pinned_shift]:
                 failures.append(f"{oeis_id}: matches at shifts {shifts}, pinned {pinned_shift}")
 
-    cases = {case.case_id: case for case in verify._oeis_cases(True, cache)}
+    cases = {case.case_id: case for case in verify._oeis_cases(True)}
     for oeis_id in ("A034839", "A019538"):
         case = cases.get(f"oeis/{oeis_id}-triangle")
         if case is None:
@@ -216,8 +216,7 @@ def test_criterion_09_roundtrip(capsys):
 PINNED_REPORT_SHA256 = "f6076ab4a0b5e1dd32accaee969a87753b9cfbc295c2db4601318dc74e640711"
 
 
-def test_criterion_10_determinism(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path / "cache"))
+def test_criterion_10_determinism(capsys):
     argv = ["verify", "--suite", "all", "--offline"]
     code_first = cli_main(list(argv))
     out_first = capsys.readouterr().out

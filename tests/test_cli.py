@@ -226,6 +226,26 @@ class TestSeq:
         assert code == 2
         assert "rational literal" in err
 
+    @pytest.mark.parametrize("q", ["1e10000000", "1E-3"])
+    def test_q_with_an_exponent_is_refused_unread(self, q):
+        # Fraction would read 1e10000000 by building 10**10000000, which takes
+        # seconds; the refusal comes first, so a hang fails the timeout
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [sys.executable, "-m", "binsum.cli", "seq", "--family", "c", "--J", "1",
+             "--q", q],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == f"binsum: error: argument --q: not a rational literal: {q!r}\n"
+
+    def test_decimal_q_is_the_fraction(self, capsys):
+        argv = ("seq", "--family", "b", "--k", "1", "--n-max", "6", "--q")
+        assert run(capsys, *argv, "0.5") == run(capsys, *argv, "1/2")
+
     def test_c_family_at_rational_q(self, capsys):
         # c(2, 1/2; i) = C(2 + i/2, 2), a polynomial in i at any q
         code, out, err = run(
@@ -514,23 +534,20 @@ class TestVerify:
 
 
 class TestOeis:
-    def test_fixture_listing(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+    def test_fixture_listing(self, capsys):
         code, out, _ = run(
             capsys, "oeis", "--id", "A027471", "--offline", "--max-terms", "4"
         )
         assert code == 0
         assert out == "1 0\n2 1\n3 6\n4 27\n"
 
-    def test_compare(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+    def test_compare(self, capsys):
         code, out, _ = run(capsys, "oeis", "--id", "A361610", "--offline", "--compare")
         assert code == 0
         assert "match" in out
 
-    def test_compare_refuses_max_terms(self, capsys, monkeypatch, tmp_path):
+    def test_compare_refuses_max_terms(self, capsys):
         # the comparison reads every pinned term, so a cap would be ignored
-        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         code, out, err = run(
             capsys, "oeis", "--id", "A027471", "--compare", "--offline", "--max-terms", "5"
         )
@@ -548,8 +565,7 @@ class TestOeis:
         assert (code, out) == (2, "")
         assert err == f"binsum: error: not a valid OEIS id: {oeis_id!r}\n"
 
-    def test_missing_fixture(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+    def test_missing_fixture(self, capsys):
         code, _, err = run(capsys, "oeis", "--id", "A000001", "--offline")
         assert code == 3
         assert err.startswith("binsum: error:")
@@ -593,10 +609,9 @@ class TestOeis:
         assert err.count("\n") == 1
         assert list(tmp_path.rglob("*.tmp")) == []
 
-    def test_compare_non_integral_term(self, capsys, monkeypatch, tmp_path):
+    def test_compare_non_integral_term(self, capsys, monkeypatch):
         import binsum.verify as verify_mod
 
-        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(verify_mod, "a_single_sum", lambda k, q, m: Fraction(1, 2))
         code, out, err = run(capsys, "oeis", "--id", "A361610", "--offline", "--compare")
         assert code == 2

@@ -15,7 +15,6 @@ from binsum.combinatorics import (
     alternating_binomial_sum,
     binomial,
     factorial,
-    multinomial,
     normalize_scalar,
     pochhammer,
     stirling1_signed,
@@ -262,10 +261,6 @@ def test_negative_n_rejected_at_every_k(triangle, k):
             lambda: stirling1_signed(Fraction(3), 1),
             "stirling1_signed needs int n and k, got Fraction(3, 1) and 1",
         ),
-        (
-            lambda: multinomial(3, [1, 2.0]),
-            "multinomial needs int n and parts, got 3 and [1, 2.0]",
-        ),
     ],
 )
 def test_non_int_index_is_refused(call, message):
@@ -328,24 +323,6 @@ def test_rows_asked_in_order_take_one_step_each(monkeypatch):
     rows = [combinatorics._row("counted stirling2", m) for m in range(n + 1)]
     assert steps == list(range(1, n + 1))
     assert rows == [tuple(stirling2(m, k) for k in range(m + 1)) for m in range(n + 1)]
-
-
-class TestMultinomial:
-    def test_examples(self):
-        assert multinomial(3, (1, 1, 1)) == 6
-        assert multinomial(4, (2, 2)) == 6
-        assert multinomial(5, (2, 2, 1)) == 30
-
-    def test_factorial_ratio(self):
-        parts = (3, 1, 4, 2)
-        expected = math.factorial(10)
-        for p in parts:
-            expected //= math.factorial(p)
-        assert multinomial(10, parts) == expected
-
-    def test_parts_must_sum(self):
-        with pytest.raises(ValueError):
-            multinomial(5, (2, 2))
 
 
 def test_normalize_scalar():

@@ -110,10 +110,6 @@ class TestCachePath:
         monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         assert cache_path("A027471") == tmp_path / "b027471.txt"
 
-    def test_argument_beats_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("BINSUM_CACHE_DIR", "/nonexistent")
-        assert cache_path("A027471", str(tmp_path)) == tmp_path / "b027471.txt"
-
     def test_default_under_home(self, monkeypatch):
         monkeypatch.delenv("BINSUM_CACHE_DIR", raising=False)
         path = cache_path("A019538")
@@ -127,58 +123,62 @@ class TestCachePath:
 
 
 class TestFetch:
-    def test_offline_fixture(self, tmp_path):
-        pairs = fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+    def test_offline_fixture(self):
+        pairs = fetch_bfile("A027471", offline=True)
         assert pairs[0] == (1, 0)
         assert pairs[1] == (2, 1)
         assert pairs[4] == (5, 108)
         assert len(pairs) == 45
 
-    def test_max_terms(self, tmp_path):
-        pairs = fetch_bfile("A027471", 5, offline=True, cache_dir=str(tmp_path))
+    def test_max_terms(self):
+        pairs = fetch_bfile("A027471", 5, offline=True)
         assert len(pairs) == 5
 
-    def test_offline_miss(self, tmp_path):
+    def test_offline_miss(self):
         with pytest.raises(FixtureMissingError):
-            fetch_bfile("A000001", offline=True, cache_dir=str(tmp_path))
+            fetch_bfile("A000001", offline=True)
 
-    def test_cache_preferred_over_fixture(self, tmp_path):
+    def test_cache_preferred_over_fixture(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         (tmp_path / "b027471.txt").write_text("0 42\n")
-        pairs = fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+        pairs = fetch_bfile("A027471", offline=True)
         assert pairs == [(0, 42)]
 
-    def test_corrupt_cache_names_the_file(self, tmp_path):
+    def test_corrupt_cache_names_the_file(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         path = tmp_path / "b027471.txt"
         path.write_text("garbage line\n")
         with pytest.raises(BFileParseError) as info:
-            fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+            fetch_bfile("A027471", offline=True)
         assert str(info.value) == (
             f"corrupt cache file {path}: line 1: non-integer field in "
             "'garbage line'; delete it to re-fetch"
         )
         assert info.value.line_number == 1
         path.unlink()
-        assert fetch_bfile("A027471", 2, offline=True, cache_dir=str(tmp_path)) == [
+        assert fetch_bfile("A027471", 2, offline=True) == [
             (1, 0),
             (2, 1),
         ]
 
     @pytest.mark.parametrize("field", ["1_000", "\uff12", "\u0663"])
-    def test_non_ascii_integer_in_cache_says_re_fetch(self, tmp_path, field):
+    def test_non_ascii_integer_in_cache_says_re_fetch(self, monkeypatch, tmp_path, field):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         path = tmp_path / "b027471.txt"
         path.write_text(f"0 1\n1 {field}\n", encoding="utf-8")
         with pytest.raises(BFileParseError) as info:
-            fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+            fetch_bfile("A027471", offline=True)
         assert str(info.value) == (
             f"corrupt cache file {path}: line 2: non-integer field in "
             f"{'1 ' + field!r}; delete it to re-fetch"
         )
 
-    def test_non_utf8_cache_names_the_file(self, tmp_path):
+    def test_non_utf8_cache_names_the_file(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         path = tmp_path / "b027471.txt"
         path.write_bytes(b"0 1\n\xff\xfe0 1\n")
         with pytest.raises(BFileParseError) as info:
-            fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+            fetch_bfile("A027471", offline=True)
         assert str(info.value) == (
             f"corrupt cache file {path}: line 2: not UTF-8 text; "
             "delete it to re-fetch"
@@ -188,15 +188,16 @@ class TestFetch:
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int conversion digit limit"
     )
-    def test_long_term_cache_does_not_say_re_fetch(self, tmp_path):
+    def test_long_term_cache_does_not_say_re_fetch(self, monkeypatch, tmp_path):
         # the file is well formed: a fresh copy would bring the same term back
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         path = tmp_path / "b027471.txt"
         path.write_text("0 1\n1 " + "18" * 2257 + "\n")
         caller_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
             with pytest.raises(BFileParseError) as info:
-                fetch_bfile("A027471", offline=True, cache_dir=str(tmp_path))
+                fetch_bfile("A027471", offline=True)
         finally:
             sys.set_int_max_str_digits(caller_limit)
         assert str(info.value) == (
@@ -210,42 +211,49 @@ class TestFetch:
         with pytest.raises(ValueError):
             fetch_bfile("X123")
 
-    def test_network_failure_is_transport_error(self, tmp_path, monkeypatch):
+    def test_network_failure_is_transport_error(self, monkeypatch):
         def boom(url, timeout):
             raise urllib.error.URLError("no route")
 
         monkeypatch.setattr("urllib.request.urlopen", boom)
         with pytest.raises(TransportError):
-            fetch_bfile("A027471", cache_dir=str(tmp_path))
+            fetch_bfile("A027471")
 
     def test_online_fetch_writes_cache(self, tmp_path, monkeypatch):
         payload = b"# header\n0 7\n1 9\n"
 
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(
             "urllib.request.urlopen", lambda url, timeout: FakeResponse(payload)
         )
-        pairs = fetch_bfile("A999999", cache_dir=str(tmp_path))
+        pairs = fetch_bfile("A999999")
         assert pairs == [(0, 7), (1, 9)]
         assert (tmp_path / "b999999.txt").read_bytes() == payload
-        # second call must hit the cache, not the (removed) network
-        monkeypatch.undo()
-        assert fetch_bfile("A999999", cache_dir=str(tmp_path)) == [(0, 7), (1, 9)]
+
+        # second call must hit the cache, not the network
+        def no_network(url, timeout):
+            raise AssertionError(f"fetched {url} although it is cached")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        assert fetch_bfile("A999999") == [(0, 7), (1, 9)]
 
     def test_malformed_remote_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(
             "urllib.request.urlopen",
             lambda url, timeout: FakeResponse(b"0 1\nbroken line here\n"),
         )
         with pytest.raises(BFileParseError):
-            fetch_bfile("A999998", cache_dir=str(tmp_path))
+            fetch_bfile("A999998")
         assert not (tmp_path / "b999998.txt").exists()
 
     def test_non_utf8_remote_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(
             "urllib.request.urlopen", lambda url, timeout: FakeResponse(b"\xff")
         )
         with pytest.raises(BFileParseError) as info:
-            fetch_bfile("A999997", cache_dir=str(tmp_path))
+            fetch_bfile("A999997")
         assert str(info.value) == "line 1: not UTF-8 text"
         assert not (tmp_path / "b999997.txt").exists()
 
@@ -253,12 +261,13 @@ class TestFetch:
     def test_failed_cache_write_names_the_file_and_cleans_up(self, tmp_path, monkeypatch):
         # a directory where the cache file goes: the temporary file is
         # written, and replacing the directory with it fails
+        monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
         (tmp_path / "b999996.txt" / "entry").mkdir(parents=True)
         monkeypatch.setattr(
             "urllib.request.urlopen", lambda url, timeout: FakeResponse(b"0 1\n")
         )
         with pytest.raises(OSError) as info:
-            fetch_bfile("A999996", cache_dir=str(tmp_path))
+            fetch_bfile("A999996")
         assert str(info.value).startswith(
             f"could not write cache file {tmp_path / 'b999996.txt'}: "
         )
@@ -319,15 +328,15 @@ class TestMappings:
         assert mapping_for("A361609").params == (2, 3)
         assert mapping_for("A000045") is None
 
-    def test_compare_with_oeis_offline(self, tmp_path):
+    def test_compare_with_oeis_offline(self):
         mapping = mapping_for("A361609")
-        result = compare_pinned(mapping, offline=True, cache_dir=str(tmp_path))
+        result = compare_pinned(mapping, offline=True)
         assert result.matched
         assert result.shift == 0
         assert result.overlap >= 20
 
-    def test_shifted_mapping_offline(self, tmp_path):
+    def test_shifted_mapping_offline(self):
         mapping = mapping_for("A027471")
-        result = compare_pinned(mapping, offline=True, cache_dir=str(tmp_path))
+        result = compare_pinned(mapping, offline=True)
         assert result.matched
         assert result.shift == 2

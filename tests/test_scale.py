@@ -209,9 +209,8 @@ assert "binsum.verify" in sys.modules and "binsum.oeis" in sys.modules
 """
 
 
-def test_build_path_leaves_the_release_gate_unloaded(monkeypatch, tmp_path):
-    # an empty cache: the offline suite reads only the bundled fixtures
-    monkeypatch.setenv("BINSUM_CACHE_DIR", str(tmp_path))
+def test_build_path_leaves_the_release_gate_unloaded():
+    # the tests' empty cache: the offline suite reads only the bundled fixtures
     fresh_python("-S", "-c", BUILD_PATH_IMPORTS, timeout=30)
 
 
@@ -229,7 +228,7 @@ assert binsum.fetch_bfile is sys.modules["binsum.oeis"].fetch_bfile
 namespace = {}
 exec("from binsum import *", namespace)
 del namespace["__builtins__"]
-assert len(namespace) == len(binsum.__all__) == 53
+assert len(namespace) == len(binsum.__all__) == 52
 assert all(namespace[name] is getattr(binsum, name) for name in binsum.__all__)
 assert not hasattr(binsum, "no_such_name")
 """

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from binsum.combinatorics import binomial, multinomial
+from binsum.combinatorics import binomial
 from binsum.errors import UnsupportedParameterError
 from binsum.genfunc import paper_gf, recurrence_terms
 from binsum.sequences import (
@@ -218,7 +218,8 @@ class TestBetaIntegral:
                 assert beta_integral(j, q) == direct
 
     def test_equals_the_per_composition_sum(self):
-        # the literal expansion: one multinomial and one Fraction per composition
+        # the literal expansion: one multinomial coefficient, as a quotient
+        # of factorials, and one Fraction per composition
         def compositions(total, count):
             if count == 1:
                 yield (total,)
@@ -232,7 +233,8 @@ class TestBetaIntegral:
                 literal = Fraction(0)
                 for parts in compositions(j + 1, q):
                     weight = sum(l * size for l, size in enumerate(parts))
-                    literal += Fraction(multinomial(j + 1, parts), 1 + j + weight)
+                    coefficient = math.factorial(j + 1) // math.prod(map(math.factorial, parts))
+                    literal += Fraction(coefficient, 1 + j + weight)
                 value = beta_integral(j, q)
                 assert value == literal and type(value) is Fraction
             assert beta_integral(j, 1) == Fraction(1, j + 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from binsum.oeis import cache_path
 from binsum.polynomials import Polynomial, RationalGF
 from binsum.sequences import a_single_sum, b_direct
 from binsum.tables import B_TABLE
@@ -52,12 +53,25 @@ class TestRunSuite:
         report = run_suite("appendix")
         assert report.status == "pass"
 
-    def test_oeis_offline(self, tmp_path):
-        report = run_suite("oeis", offline=True, cache_dir=str(tmp_path))
+    def test_oeis_offline(self):
+        report = run_suite("oeis", offline=True)
         assert report.status == "pass"
         ids = [case.case_id for case in report.cases]
         assert "oeis/A027471" in ids
         assert "oeis/A034839-triangle" in ids
+
+    def test_oeis_offline_reads_the_cache_first(self):
+        # the tests' cache directory holds a corrupt copy of one pinned entry
+        path = cache_path("A027471")
+        path.parent.mkdir()
+        path.write_text("garbage line\n")
+        report = run_suite("oeis", offline=True)
+        failed = [case for case in report.cases if case.status == "fail"]
+        assert [case.case_id for case in failed] == ["oeis/A027471"]
+        assert failed[0].actual == (
+            f"BFileParseError: corrupt cache file {path}: line 1: non-integer field "
+            "in 'garbage line'; delete it to re-fetch"
+        )
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -88,14 +102,14 @@ class TestRunSuite:
         # a case's time is not part of its value
         assert report.cases == run_suite("appendix", timing=True).cases
 
-    def test_oeis_online_failure_reported_not_raised(self, tmp_path, monkeypatch):
+    def test_oeis_online_failure_reported_not_raised(self, monkeypatch):
         import urllib.error
 
         def boom(url, timeout):
             raise urllib.error.URLError("unreachable")
 
         monkeypatch.setattr("urllib.request.urlopen", boom)
-        report = run_suite("oeis", offline=False, cache_dir=str(tmp_path))
+        report = run_suite("oeis", offline=False)
         assert report.status == "fail"
         assert all("TransportError" in c.actual for c in report.cases if c.status == "fail")
 
@@ -491,7 +505,7 @@ class TestFailureText:
             f" table lists ({table})/(1 - 7*z)^6"
         )
 
-    def test_triangle_row_mismatch(self, monkeypatch, tmp_path):
+    def test_triangle_row_mismatch(self, monkeypatch):
         import binsum.verify as verify_mod
 
         real = verify_mod.omega_poly
@@ -500,19 +514,19 @@ class TestFailureText:
             "omega_poly",
             lambda n: real(n) + Polynomial.monomial(1, 3) if n == 3 else real(n),
         )
-        report = run_suite("oeis", offline=True, cache_dir=str(tmp_path))
+        report = run_suite("oeis", offline=True)
         case = cases_by_id(report)["oeis/A019538-triangle"]
         assert case.status == "fail"
         assert case.actual == "n=3: coefficients [1, 6, 7], reference row [1, 6, 6]"
 
-    def test_triangle_reference_too_short(self, monkeypatch, tmp_path):
+    def test_triangle_reference_too_short(self, monkeypatch):
         import binsum.oeis as oeis_mod
 
         real = oeis_mod.fetch_bfile
         monkeypatch.setattr(
             oeis_mod, "fetch_bfile", lambda oeis_id, *a, **kw: real(oeis_id, *a, **kw)[:10]
         )
-        report = run_suite("oeis", offline=True, cache_dir=str(tmp_path))
+        report = run_suite("oeis", offline=True)
         cases = cases_by_id(report)
         for oeis_id in ("A034839", "A019538", "A123125"):
             case = cases[f"oeis/{oeis_id}-triangle"]
