@@ -55,12 +55,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ascii(text: str) -> str:
+    """text, refused (ValueError) unless it is ASCII without _ separators:
+    int() and Fraction() would read any Unicode digit, and 1_0 as 10."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def _q_literal(text: str) -> Fraction:
     try:
         if "e" in text.lower():
             # Fraction would build 10**exponent: minutes for 1e100000000
             raise ValueError(text)
-        value = Fraction(text)
+        value = Fraction(_ascii(text))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}")
     if value < 0:
@@ -73,7 +81,7 @@ def _int_at_least(minimum: int, word: str):
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = int(_ascii(text))
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < minimum:
@@ -90,6 +98,8 @@ _nonnegative = _int_at_least(0, "nonnegative")
 def build_parser() -> _Parser:
     parser = _Parser(prog="binsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    # each subcommand's parser by name, which main parses with directly
+    parser.commands = sub.choices
 
     seq = sub.add_parser("seq", help="print sequence terms")
     gf = sub.add_parser("gf", help="print a rational generating function")
@@ -333,9 +343,21 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), with a named subcommand's arguments parsed
+    by its own parser: that is all argparse's dispatch does with them, and
+    skipping it halves the parse."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         if args.command is None:
             raise _UsageError(f"a subcommand is required ({', '.join(_HANDLERS)})")
         code = _HANDLERS[args.command](args)

@@ -181,7 +181,8 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
     1969) finds that recurrence in O(N L) steps for N terms.  The terms are
     scaled to integers by the lcm of their denominators, which leaves the
     recurrence alone, and the connection polynomial C is updated fraction
-    free, C <- b C - d z^m B, with its content divided out at each step.
+    free, C <- b C - d z^m B with b and d first divided by their gcd, and
+    its content divided out at each step.
     The numerator is (T C) mod z^L for the scaled terms T.  N terms fix a
     recurrence of order L only when N >= 2L, so N < 2L + 1 (no spare term)
     raises NeedsMoreTermsError.  The candidate is checked against every
@@ -199,12 +200,15 @@ def reconstruct_rational(series: Sequence[Scalar]) -> RationalGF:
         d = sum(c * scaled[n - i] for i, c in enumerate(C))
         if d == 0:
             continue
-        shifted = [0] * (n - last) + B
-        C, previous = [b * x - d * y for x, y in zip_longest(C, shifted, fillvalue=0)], C
+        # b and d over their gcd give C up to a factor the content drops
+        g = math.gcd(b, d)
+        b_g, d_g, shifted = b // g, d // g, [0] * (n - last) + B
+        C, previous = [b_g * x - d_g * y for x, y in zip_longest(C, shifted, fillvalue=0)], C
         while C[-1] == 0:
             C.pop()
         content = math.gcd(*C)
-        C = [c // content for c in C]
+        if content != 1:
+            C = [c // content for c in C]
         if 2 * L <= n:
             L, B, b, last = n + 1 - L, previous, d, n
     if len(terms) < 2 * L + 1:

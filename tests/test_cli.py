@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -246,6 +247,34 @@ class TestSeq:
         argv = ("seq", "--family", "b", "--k", "1", "--n-max", "6", "--q")
         assert run(capsys, *argv, "0.5") == run(capsys, *argv, "1/2")
 
+    @pytest.mark.parametrize(
+        "flag, text, complaint",
+        [
+            ("--k", "\u0663", "not an integer"),  # Arabic-Indic three
+            ("--k", "\uff13", "not an integer"),  # fullwidth three
+            ("--k", "1_0", "not an integer"),
+            ("--k", "\u00a03", "not an integer"),  # after a no-break space
+            ("--n-max", "1_000", "not an integer"),
+            ("--q", "\u0663", "not a rational literal"),
+            ("--q", "1_0", "not a rational literal"),
+            ("--q", "1/\u0662", "not a rational literal"),
+            ("--q", "0.\u0665", "not a rational literal"),
+        ],
+    )
+    def test_numerals_are_ascii(self, capsys, flag, text, complaint):
+        # int() and Fraction() would read each of these as a number
+        argv = ["seq", "--family", "a", "--k", "3", "--q", "3", "--n-max", "3"]
+        argv[argv.index(flag) + 1] = text
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"binsum: error: argument {flag}: {complaint}: {text!r}\n"
+
+    def test_ascii_numerals_still_read(self, capsys):
+        code, out, err = run(
+            capsys, "seq", "--family", "a", "--k", "+3", "--q", "3.", "--n-max", " 3"
+        )
+        assert (code, out, err) == (0, "1 35 420\n", "")
+
     def test_c_family_at_rational_q(self, capsys):
         # c(2, 1/2; i) = C(2 + i/2, 2), a polynomial in i at any q
         code, out, err = run(
@@ -485,6 +514,37 @@ def test_gf_and_recur_bytes_are_pinned(capsys):
     assert digest.hexdigest() == PINNED_GF_RECUR_SHA256
 
 
+def _seq_grid():
+    """seq over a, b and c, every --via and none, k or J in {0, 1, 2, 5, 9},
+    q integer and rational, --n-max in {1, 7, 33}, text, json and bfile."""
+    for family, name in (("a", "--k"), ("b", "--k"), ("c", "--J")):
+        for via in (None, "direct", "single", "series"):
+            for k in ("0", "1", "2", "5", "9"):
+                for q in ("0", "1", "2", "3", "5", "1/2", "3/2", "2/3"):
+                    for n in ("1", "7", "33"):
+                        for fmt in ("text", "json", "bfile"):
+                            argv = ["seq", "--family", family, name, k, "--q", q,
+                                    "--n-max", n, "--format", fmt]
+                            yield argv if via is None else [*argv, "--via", via]
+
+
+# sha256 of (argv, exit code, stdout, stderr) over the grid, errors included;
+# a change to the bytes seq prints must be deliberate
+PINNED_SEQ_SHA256 = "dfb121d64cffa3b55e3e82a6c5ac9d832ce9c50c8a00fea45e34e9721d2af450"
+
+
+def test_seq_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    calls = 0
+    for argv in _seq_grid():
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(repr((argv, code, captured.out, captured.err)).encode())
+        calls += 1
+    assert calls == 4320
+    assert digest.hexdigest() == PINNED_SEQ_SHA256
+
+
 class TestVerify:
     def test_appendix_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "appendix")
@@ -687,3 +747,109 @@ class TestParserReuse:
         assert json.loads(out)["recurrence"]["coeffs"] == ["6", "-9"]
         code, out, err = run(capsys, "gf", "--family", "A", "--k", "1", "--q", "2")
         assert (code, out, err) == (0, "1/(1 - 3*z)^2\n", "")
+
+
+# argvs that reach every branch of argparse's dispatch: each subcommand, =
+# forms, repeated flags, --, extra arguments, abbreviations, bad choices and
+# values, help, and a missing or unknown subcommand
+_DISPATCH_GRID = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-x"],
+    ["--"],
+    ["--", "seq", "--family", "a"],
+    ["frobnicate"],
+    ["Seq"],
+    ["se"],
+    ["--family", "a", "seq"],
+    ["seq"],
+    ["seq", "--family", "a", "--k", "3", "--q", "1/2"],
+    ["seq", "--family=b", "--k=1", "--q=2", "--n-max=5", "--format=csv", "--via=series"],
+    ["seq", "--family", "a", "--family", "c", "--J", "1", "--J", "2", "--q", "0"],
+    ["seq", "--fam", "a", "--n", "3", "--vi", "single"],
+    ["seq", "--f", "a"],
+    ["seq", "--family", "A"],
+    ["seq", "--family", "a", "--format", "xml"],
+    ["seq", "--family", "a", "--via", "fast"],
+    ["seq", "--family", "a", "--k", "\u0663", "--q", "3"],
+    ["seq", "--family", "a", "--k", "-1"],
+    ["seq", "--family", "a", "--n-max", "0"],
+    ["seq", "--family"],
+    ["seq", "--family", "a", "extra"],
+    ["seq", "--family", "a", "-k", "3"],
+    ["seq", "--", "--family", "a"],
+    ["seq", "--family", "a", "--"],
+    ["seq", "--family", "a", "--", "extra"],
+    ["seq", "--family", "a", "--reconstruct"],
+    ["gf", "--family", "A", "--k", "2", "--q", "3"],
+    ["gf", "--family", "C", "--J", "1", "--q", "1e5"],
+    ["gf", "--family", "a"],
+    ["gf", "--family", "B", "--k", "1", "--q", "1/2", "--rec", "--format", "json"],
+    ["gf", "--family", "B", "--reconstruct", "--reconstruct"],
+    ["recur", "--family", "A", "--k", "1", "--q", "2", "--format", "json"],
+    ["recur", "--family", "B", "--k"],
+    ["recur", "--family", "B", "--via", "direct"],
+    ["verify"],
+    ["verify", "--suite=appendix", "--offline", "--timing"],
+    ["verify", "--off", "--tim"],
+    ["verify", "--suite"],
+    ["verify", "x", "y"],
+    ["verify", "--", "--offline"],
+    ["oeis"],
+    ["oeis", "--id", "A027471", "--offline", "--max-terms", "3"],
+    ["oeis", "--id=A027471", "--comp", "--max", "2"],
+    ["oeis", "--id", "A027471", "more"],
+    ["oeis", "--max-terms", "1_0", "--id", "A027471"],
+] + [
+    [command, *flags]
+    for command in ("seq", "gf", "recur", "verify", "oeis")
+    for flags in (["-h"], ["--help"], ["--family", "a", "-h"], ["--he"])
+]
+
+
+def _parse_outcome(parse, argv):
+    """The namespace parse gives argv, or else its usage error, or else the
+    exit code and output of the help it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return "namespace", vars(parse(argv)), err.getvalue()
+    except cli._UsageError as exc:
+        return "usage", str(exc), out.getvalue(), err.getvalue()
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """main parses a named subcommand with that subcommand's parser; every
+    argv reads as the top-level parser's own dispatch reads it."""
+
+    @pytest.mark.parametrize("argv", _DISPATCH_GRID, ids=repr)
+    def test_same_as_the_top_level_parse(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = _parse_outcome(cli._PARSER.parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == want
+        assert _parse_outcome(cli._parse_args, tuple(argv)) == want
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch):
+        argv = ["gf", "--family", "A", "--k", "2", "--q", "3"]
+        monkeypatch.setattr(sys, "argv", ["binsum", *argv])
+        assert cli._parse_args(None) == cli._PARSER.parse_args(argv)
+
+    def test_a_named_subcommand_skips_the_top_level_parser(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        argv = ["recur", "--family", "A", "--k", "1", "--q", "2"]
+        monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+        # the console script calls main() with no argv, so sys.argv takes
+        # the same path
+        monkeypatch.setattr(sys, "argv", ["binsum", *argv])
+        for code, out, err in (run(capsys, *argv), (main(), *capsys.readouterr())):
+            assert (code, out, err) == (
+                0, "order 2: a(n) = 6*a(n-1) - 9*a(n-2), init 1, 6\n", ""
+            )
+        with pytest.raises(AssertionError, match="top-level"):
+            cli._parse_args(["--help"])
